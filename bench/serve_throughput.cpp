@@ -18,15 +18,17 @@
 //                      every request misses the prediction cache and
 //                      simulates.  Wire + parse + queue + compute.
 //   serve_warm         one server, caches pre-filled, fixed seeds: every
-//                      request is answered from the prediction cache.
-//                      ALWAYS protocol v1 text with full program upload --
-//                      this row is the v1 reference the registered phase
-//                      is judged against, whatever the flags say.
+//                      request uploads its full program text and is
+//                      answered from the prediction cache.  This is the
+//                      reference row the registered phase is judged
+//                      against.
 //   serve_reg          (--register) the DESIGN.md §14 steady-state hot
 //                      path: programs REGISTERed once, every request
 //                      carries only (handle, params, seed) and hits the
 //                      per-program memo.  No program bytes on the wire, no
-//                      parse, no simulation.  Codec follows --binary.
+//                      parse, no simulation.
+//
+// Every phase speaks the wire's one binary codec.
 //
 // Load shape: N client threads (default 4), each with its own connection,
 // pipelining up to kWindow correlation ids on the socket (requests are
@@ -46,17 +48,16 @@
 //                       luck; the gate catches order-of-magnitude blowups)
 //
 // Usage:
-//   serve_throughput [--quick] [--clients N] [--binary] [--register]
+//   serve_throughput [--quick] [--clients N] [--register]
 //                    [--reactors N] [--out FILE] [--merge FILE]
 //                    [--baseline FILE] [--max-regress FRAC] [--check]
 //
-// --binary negotiates protocol v2 (HELLO) for the cold and registered
-// phases; --reactors shards the benched servers' connections across N
-// epoll threads.  --merge appends the rows to an existing BENCH_perf.json
+// --reactors shards the benched servers' connections across N epoll
+// threads.  --merge appends the rows to an existing BENCH_perf.json
 // (written by perf_regression) instead of writing a standalone file.
 // --check asserts the acceptance bars: warm served throughput within 2x
-// of direct, and (with --register) registered throughput >= 5x the v1
-// text warm row.
+// of direct, and (with --register) registered throughput >= 5x the
+// full-upload warm row.
 
 #include <algorithm>
 #include <atomic>
@@ -141,8 +142,6 @@ struct PassOptions {
   /// 0 pins every request to seed 1 (the cacheable shape); otherwise each
   /// request gets a globally unique seed so none can hit any cache.
   std::uint64_t seed_base = 0;
-  /// Negotiate protocol v2 (HELLO) per connection before issuing load.
-  bool binary = false;
   /// Non-empty: request handles[i % size] instead of uploading program
   /// text -- the registered-program hot path.
   std::vector<std::uint64_t> handles;
@@ -166,10 +165,6 @@ PassResult run_pass(std::uint16_t port, const Workload& w, int clients,
         return;
       }
       serve::Client client = std::move(connected).value();
-      if (opts.binary && !client.hello().ok()) {
-        errors.fetch_add(static_cast<std::size_t>(per_client));
-        return;
-      }
       std::unordered_map<std::uint64_t, Clock::time_point> sent;
       int issued = 0;
       int received = 0;
@@ -193,9 +188,8 @@ PassResult run_pass(std::uint16_t port, const Workload& w, int clients,
           const std::uint64_t id = client.next_id();
           sent.emplace(id, Clock::now());
           if (!client
-                   .send(serve::Frame{
-                       serve::FrameKind::kPredict, id,
-                       serve::encode_predict_request(req, client.codec())})
+                   .send(serve::Frame{serve::FrameKind::kPredict, id,
+                                      serve::encode_predict_request(req)})
                    .ok()) {
             errors.fetch_add(
                 static_cast<std::size_t>(per_client - received));
@@ -290,8 +284,8 @@ BenchResult bench_direct(const Workload& w, int clients, int per_client,
 /// Cold phase: a brand-new server (empty caches) per sample; per-request
 /// unique seeds keep even same-pass repeats out of the prediction cache.
 BenchResult bench_cold(const Workload& w, int clients, int per_client,
-                       int samples, int reactors, bool binary,
-                       std::vector<double>* p50, std::vector<double>* p99) {
+                       int samples, int reactors, std::vector<double>* p50,
+                       std::vector<double>* p99) {
   BenchResult r;
   r.name = "serve_cold";
   r.metric = "jobs_per_sec";
@@ -305,7 +299,6 @@ BenchResult bench_cold(const Workload& w, int clients, int per_client,
     }
     PassOptions opts;
     opts.seed_base = 1000;
-    opts.binary = binary;
     const PassResult pass = run_pass(server.port(), w, clients, per_client,
                                      opts);
     server.stop();
@@ -324,8 +317,8 @@ BenchResult bench_cold(const Workload& w, int clients, int per_client,
 
 /// Warm phase: one server, prediction cache pre-filled by a discarded
 /// warm-up pass; fixed seeds make every measured request a cache hit.
-/// Deliberately pinned to protocol v1 text with full program upload: this
-/// is the reference row the registered phase's speedup is measured from.
+/// Every request uploads its full program text: this is the reference row
+/// the registered phase's speedup is measured from.
 BenchResult bench_warm(const Workload& w, int clients, int per_client,
                        int samples, int reactors, std::vector<double>* p50,
                        std::vector<double>* p99) {
@@ -363,7 +356,7 @@ BenchResult bench_warm(const Workload& w, int clients, int per_client,
 /// simulation.  This is the microsecond steady-state path the multi-
 /// reactor refactor exists for.
 BenchResult bench_registered(const Workload& w, int clients, int per_client,
-                             int samples, int reactors, bool binary,
+                             int samples, int reactors,
                              std::vector<double>* p50,
                              std::vector<double>* p99) {
   obs::metrics::Registry registry;
@@ -401,7 +394,6 @@ BenchResult bench_registered(const Workload& w, int clients, int per_client,
   per_client *= 8;
   for (int s = 0; s <= samples; ++s) {
     PassOptions opts;
-    opts.binary = binary;
     opts.handles = handles;
     const PassResult pass = run_pass(server.port(), w, clients, per_client,
                                      opts);
@@ -509,7 +501,6 @@ std::vector<std::pair<std::string, double>> read_baseline(
 int main(int argc, char** argv) {
   bool quick = false;
   bool check = false;
-  bool binary = false;
   bool with_registered = false;
   int clients = 4;
   int reactors = 0;
@@ -530,8 +521,6 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (arg == "--check") {
       check = true;
-    } else if (arg == "--binary") {
-      binary = true;
     } else if (arg == "--register") {
       with_registered = true;
     } else if (arg == "--clients") {
@@ -567,12 +556,12 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   results.push_back(bench_direct(w, clients, per_client, samples));
   results.push_back(bench_cold(w, clients, per_client, samples, reactors,
-                               binary, &cold_p50, &cold_p99));
+                               &cold_p50, &cold_p99));
   results.push_back(bench_warm(w, clients, per_client, samples, reactors,
                                &warm_p50, &warm_p99));
   if (with_registered) {
     results.push_back(bench_registered(w, clients, per_client, samples,
-                                       reactors, binary, &reg_p50, &reg_p99));
+                                       reactors, &reg_p50, &reg_p99));
   }
   results.push_back(percentile_row("serve_cold_p50_us", std::move(cold_p50)));
   results.push_back(percentile_row("serve_cold_p99_us", std::move(cold_p99)));
@@ -632,11 +621,11 @@ int main(int argc, char** argv) {
               << (ok ? "(ok)" : "(FAILED)") << "\n";
     if (!ok) rc = 1;
     if (with_registered) {
-      // The PR 9 acceptance bar: the registered hot path must beat the v1
-      // full-upload warm path by at least 5x.
+      // The registered hot path must beat the full-upload warm path by at
+      // least 5x.
       const double reg = row("serve_reg")->value;
       const bool reg_ok = reg >= 5.0 * warm;
-      std::cout << "--- check: registered hot path vs v1 text warm ---\n"
+      std::cout << "--- check: registered hot path vs full-upload warm ---\n"
                 << "warm " << util::fmt(warm, 1) << " jobs/s, registered "
                 << util::fmt(reg, 1) << " jobs/s ("
                 << util::fmt(reg / warm, 1) << "x, need >= 5x) "

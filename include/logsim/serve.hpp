@@ -5,7 +5,7 @@
 // loop fair-queues length-prefixed requests from many clients into one
 // process-wide BatchPredictor whose prediction/step caches are shared, so
 // a hot program costs one simulation for the whole fleet.  serve::Client
-// is the matching blocking client; the wire codecs are exposed for load
+// is the matching blocking client; the wire codec is exposed for load
 // generators that pipeline raw frames.
 
 #include "serve/client.hpp"    // IWYU pragma: export

@@ -46,7 +46,7 @@ struct CommStep {
   /// Pure acceleration state (lets the comm-step cache share one canonical
   /// instance across shifted copies of the pattern); carries no semantic
   /// content, so it is excluded from equality.
-  std::shared_ptr<const pattern::CanonicalPattern> canon;
+  std::shared_ptr<const pattern::CanonicalPattern> canon{};
   /// The relabeling between this pattern and `canon->form`, recorded at
   /// intern time (empty when canon is null).  Steps are immutable once
   /// added to a StepProgram, so the simulator can trust these instead of
@@ -54,8 +54,8 @@ struct CommStep {
   /// maps exist to avoid.  to_canonical: original proc -> canonical id
   /// (kNoProc for non-participants); from_canonical: canonical id ->
   /// original proc, sized to the participant count.
-  std::vector<ProcId> to_canonical;
-  std::vector<ProcId> from_canonical;
+  std::vector<ProcId> to_canonical{};
+  std::vector<ProcId> from_canonical{};
 
   friend bool operator==(const CommStep& a, const CommStep& b) {
     return a.pattern == b.pattern;

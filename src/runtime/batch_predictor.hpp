@@ -72,7 +72,7 @@ struct PredictJob {
   /// token / config deadlines (the serving layer attaches one per request).
   /// Neither affects the prediction value, so cached/checkpointed results
   /// still apply.
-  fault::CancelToken cancel;
+  fault::CancelToken cancel{};
   /// Wall-clock budget for this job's attempt chain; zero disables.
   /// Combined with Config::job_deadline by taking the earlier expiry.
   std::chrono::steady_clock::duration deadline{};
@@ -126,7 +126,7 @@ class BatchPredictor {
     /// A compute_overhead callback, if set, must be thread-safe; jobs using
     /// one bypass the cache and checkpoint (a closure has no canonical
     /// hash).  The cancel/deadline fields are overwritten per job.
-    core::ProgramSimOptions sim;
+    core::ProgramSimOptions sim{};
     /// Optional memoization cache; borrowed, may be shared across
     /// BatchPredictors.  nullptr disables memoization.
     PredictionCache* cache = nullptr;
@@ -141,14 +141,14 @@ class BatchPredictor {
     metrics::Registry* metrics = nullptr;
     /// Retry budget for transient job failures; max_attempts = 1 (the
     /// default) disables retry.
-    fault::RetryPolicy retry;
+    fault::RetryPolicy retry{};
     /// Wall-clock budget per job attempt chain; zero disables.
     std::chrono::steady_clock::duration job_deadline{};
     /// Wall-clock budget for a whole predict_all call; zero disables.
     /// Doubles as the watchdog horizon.
     std::chrono::steady_clock::duration batch_deadline{};
     /// Checkpoint file; empty disables checkpointing.
-    std::string checkpoint_path;
+    std::string checkpoint_path{};
     /// Persist after this many newly completed jobs (plus once at batch
     /// end); clamped to at least 1.
     std::size_t checkpoint_every = 16;

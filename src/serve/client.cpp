@@ -56,9 +56,6 @@ Client::Client(Client&& other) noexcept
       port_(other.port_),
       limits_(other.limits_),
       next_id_(other.next_id_),
-      codec_(other.codec_),
-      version_(other.version_),
-      requested_version_(other.requested_version_),
       assembler_(std::move(other.assembler_)),
       stash_(std::move(other.stash_)) {}
 
@@ -70,9 +67,6 @@ Client& Client::operator=(Client&& other) noexcept {
     port_ = other.port_;
     limits_ = other.limits_;
     next_id_ = other.next_id_;
-    codec_ = other.codec_;
-    version_ = other.version_;
-    requested_version_ = other.requested_version_;
     assembler_ = std::move(other.assembler_);
     stash_ = std::move(other.stash_);
   }
@@ -136,11 +130,10 @@ Status Client::ping() {
   return Status{};
 }
 
-Status Client::hello(std::uint32_t max_version) {
-  requested_version_ = max_version;
+Status Client::hello() {
   const std::uint64_t id = next_id();
   if (Status st = send(Frame{FrameKind::kHello, id,
-                             encode_hello_request(max_version)});
+                             encode_hello_request(kProtocolVersion)});
       !st.ok()) {
     return st;
   }
@@ -150,7 +143,7 @@ Status Client::hello(std::uint32_t max_version) {
     return Status::invalid_input("out-of-order reply to HELLO");
   }
   if (frame->kind == FrameKind::kError) {
-    Result<ErrorReply> reply = decode_error_reply(frame->payload, codec_);
+    Result<ErrorReply> reply = decode_error_reply(frame->payload);
     if (!reply.ok()) return reply.status();
     return reply->to_status();
   }
@@ -159,25 +152,16 @@ Status Client::hello(std::uint32_t max_version) {
   }
   Result<std::uint32_t> version = decode_hello_ack(frame->payload);
   if (!version.ok()) return version.status();
-  if (version.value() > max_version) {
+  if (version.value() != kProtocolVersion) {
     return Status::invalid_input(
-        "server chose protocol version " + std::to_string(version.value()) +
-        " above the " + std::to_string(max_version) + " offered");
+        "server acked protocol version " + std::to_string(version.value()) +
+        ", expected " + std::to_string(kProtocolVersion));
   }
-  version_ = version.value();
-  codec_ = codec_for_version(version_);
   return Status{};
 }
 
 Result<std::uint64_t> Client::register_program(
     const std::string& program_text, const std::string& topology_text) {
-  if (!topology_text.empty() && version_ < kProtocolVersionTopology) {
-    return Status::invalid_input(
-        "registering under a topology needs protocol version " +
-        std::to_string(kProtocolVersionTopology) + " but the connection " +
-        "negotiated " + std::to_string(version_) + "; call hello() first "
-        "or upgrade the server");
-  }
   const std::uint64_t id = next_id();
   if (Status st = send(Frame{FrameKind::kRegister, id,
                              encode_register_request(program_text,
@@ -191,33 +175,20 @@ Result<std::uint64_t> Client::register_program(
     return Status::invalid_input("out-of-order reply to REGISTER");
   }
   if (frame->kind == FrameKind::kError) {
-    Result<ErrorReply> reply = decode_error_reply(frame->payload, codec_);
+    Result<ErrorReply> reply = decode_error_reply(frame->payload);
     if (!reply.ok()) return reply.status();
     return reply->to_status();
   }
   if (frame->kind != FrameKind::kRegistered) {
     return Status::invalid_input("unexpected reply to REGISTER");
   }
-  return decode_registered_reply(frame->payload, codec_);
-}
-
-Status Client::check_topology(const PredictRequest& request) const {
-  if (request.topology_text.empty() ||
-      version_ >= kProtocolVersionTopology) {
-    return Status{};
-  }
-  return Status::invalid_input(
-      "PredictRequest::topology_text needs protocol version " +
-      std::to_string(kProtocolVersionTopology) + " but the connection " +
-      "negotiated " + std::to_string(version_) + "; call hello() first or "
-      "upgrade the server");
+  return decode_registered_reply(frame->payload);
 }
 
 Result<PredictionHandle> Client::start(const PredictRequest& request) {
-  if (Status st = check_topology(request); !st.ok()) return st;
   const std::uint64_t id = next_id();
   if (Status st = send(Frame{FrameKind::kPredict, id,
-                             encode_predict_request(request, codec_)});
+                             encode_predict_request(request)});
       !st.ok()) {
     return st;
   }
@@ -234,8 +205,7 @@ void PredictionHandle::complete(Frame frame) {
   done_ = true;
   switch (frame.kind) {
     case FrameKind::kResult: {
-      Result<PredictReply> reply =
-          decode_predict_reply(frame.payload, client_->codec());
+      Result<PredictReply> reply = decode_predict_reply(frame.payload);
       if (reply.ok()) {
         reply_ = std::move(reply).value();
         status_ = Status{};
@@ -245,8 +215,7 @@ void PredictionHandle::complete(Frame frame) {
       return;
     }
     case FrameKind::kError: {
-      Result<ErrorReply> reply =
-          decode_error_reply(frame.payload, client_->codec());
+      Result<ErrorReply> reply = decode_error_reply(frame.payload);
       status_ = reply.ok() ? reply->to_status() : reply.status();
       return;
     }
@@ -330,12 +299,9 @@ Result<std::size_t> Client::wait_any(std::vector<PredictionHandle>& handles) {
 
 Result<std::vector<Client::BatchItem>> Client::predict_batch(
     const std::vector<PredictRequest>& jobs) {
-  for (const PredictRequest& job : jobs) {
-    if (Status st = check_topology(job); !st.ok()) return st;
-  }
   const std::uint64_t id = next_id();
   if (Status st = send(
-          Frame{FrameKind::kBatch, id, encode_batch_request(jobs, codec_)});
+          Frame{FrameKind::kBatch, id, encode_batch_request(jobs)});
       !st.ok()) {
     return st;
   }
@@ -349,7 +315,7 @@ Result<std::vector<Client::BatchItem>> Client::predict_batch(
     }
     if (frame->kind == FrameKind::kBatchEnd) break;
     if (frame->kind == FrameKind::kResult) {
-      Result<PredictReply> reply = decode_predict_reply(frame->payload, codec_);
+      Result<PredictReply> reply = decode_predict_reply(frame->payload);
       if (!reply.ok()) return reply.status();
       if (reply->index >= items.size()) {
         return Status::invalid_input("reply index out of batch range");
@@ -359,7 +325,7 @@ Result<std::vector<Client::BatchItem>> Client::predict_batch(
       continue;
     }
     if (frame->kind == FrameKind::kError) {
-      Result<ErrorReply> reply = decode_error_reply(frame->payload, codec_);
+      Result<ErrorReply> reply = decode_error_reply(frame->payload);
       if (!reply.ok()) return reply.status();
       if (reply->index < items.size() && !items[reply->index].ok()) {
         items[reply->index].status = reply->to_status();
@@ -387,7 +353,7 @@ Result<std::string> Client::stats() {
   Result<Frame> frame = receive();
   if (!frame.ok()) return frame.status();
   if (frame->kind == FrameKind::kError) {
-    Result<ErrorReply> reply = decode_error_reply(frame->payload, codec_);
+    Result<ErrorReply> reply = decode_error_reply(frame->payload);
     if (!reply.ok()) return reply.status();
     return reply->to_status();
   }
@@ -402,9 +368,6 @@ Status Client::reconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  // Fresh connections start at v1 no matter what the old one negotiated.
-  codec_ = Codec::kText;
-  version_ = kProtocolVersionText;
   // Buffered bytes and stashed replies belong to the dead connection;
   // outstanding PredictionHandles are invalidated (documented contract).
   assembler_ = FrameAssembler{limits_};
@@ -412,9 +375,6 @@ Status Client::reconnect() {
   Result<int> fd = dial(host_, port_);
   if (!fd.ok()) return fd.status();
   fd_ = fd.value();
-  if (requested_version_ > kProtocolVersionText) {
-    return hello(requested_version_);
-  }
   return Status{};
 }
 

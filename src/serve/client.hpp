@@ -1,6 +1,6 @@
 #pragma once
 // Client for the logsim serving wire protocol (DESIGN.md §12, §14 for
-// protocol v2, §15 for the v3 topology field).
+// the binary codec, §15 for the topology field).
 //
 // One Client wraps one TCP connection.  The high-level calls (predict,
 // predict_batch, stats, ping) are synchronous request/response; start()
@@ -9,13 +9,8 @@
 // pair remains for callers that pipeline raw frames and match responses
 // by Frame::id themselves.
 //
-// Every connection starts in protocol v1 (text payloads).  hello()
-// negotiates the binary codec when the server is new enough; afterwards
-// the high-level calls encode and decode v2 transparently.  Requests that
-// set PredictRequest::topology_text need a negotiated version >=
-// kProtocolVersionTopology (older servers reject the field as unknown, so
-// the client refuses to send it rather than poison the connection).
-// Callers that pipeline raw frames should encode with codec().
+// Every connection speaks the one binary codec from its first frame;
+// hello() is an optional check that the server speaks kProtocolVersion.
 //
 // register_program() interns a program server-side and returns a handle;
 // PredictRequests carrying the handle skip program upload and parsing
@@ -99,24 +94,18 @@ class Client {
   /// protocol.
   [[nodiscard]] Status ping();
 
-  /// Negotiates the protocol version (HELLO): the connection speaks
-  /// min(max_version, server's max) afterwards.  Idempotent; a v1-only
-  /// peer simply leaves the connection on the text codec.
-  [[nodiscard]] Status hello(std::uint32_t max_version = kProtocolVersionMax);
+  /// Checks the server speaks kProtocolVersion (HELLO).  Optional: the
+  /// connection needs no handshake.
+  [[nodiscard]] Status hello();
 
-  /// The codec the connection currently speaks (kText until hello()
-  /// negotiates kBinary); raw-frame pipeliners encode with this.
-  [[nodiscard]] Codec codec() const { return codec_; }
-  /// The negotiated protocol version (kProtocolVersionText before
-  /// hello()).
-  [[nodiscard]] std::uint32_t protocol_version() const { return version_; }
+  /// The payload codec (always kBinary; kept for callers that name it).
+  [[nodiscard]] Codec codec() const { return Codec::kBinary; }
 
   /// Interns `program_text` server-side; the returned handle, placed in
   /// PredictRequest::handle, replaces the program text on every later
   /// predict.  Registering the same program again returns the same handle.
   /// A non-empty `topology_text` (io/topology_io.hpp format) registers the
-  /// program under that interconnect -- requires a negotiated protocol
-  /// version >= kProtocolVersionTopology.
+  /// program under that interconnect.
   [[nodiscard]] Result<std::uint64_t> register_program(
       const std::string& program_text, const std::string& topology_text = {});
 
@@ -155,9 +144,8 @@ class Client {
   [[nodiscard]] Result<std::string> stats();
 
   /// Drops the current connection (if any) and dials the original
-  /// host:port again.  A previously negotiated protocol version is
-  /// re-negotiated on the new connection; registered handles are NOT
-  /// revalidated (they survive iff the same server process answered).
+  /// host:port again.  Registered handles are NOT revalidated (they
+  /// survive iff the same server process answered).
   [[nodiscard]] Status reconnect();
 
   // --- pipelining building blocks ---------------------------------------
@@ -187,9 +175,6 @@ class Client {
   [[nodiscard]] static Result<int> dial(const std::string& host,
                                         std::uint16_t port);
 
-  /// Requests carrying a topology need a server that understands it.
-  [[nodiscard]] Status check_topology(const PredictRequest& request) const;
-
   /// Pulls the next complete frame off the connection through the shared
   /// assembler.  Blocking mode waits for bytes; non-blocking returns
   /// nullopt when the socket has nothing buffered.
@@ -205,10 +190,6 @@ class Client {
   std::uint16_t port_ = 0;
   WireLimits limits_;
   std::uint64_t next_id_ = 1;
-  Codec codec_ = Codec::kText;
-  std::uint32_t version_ = kProtocolVersionText;
-  /// What hello() last asked for; reconnect() re-negotiates with it.
-  std::uint32_t requested_version_ = 0;
   /// Incremental frame decoder shared by every read path, so interleaving
   /// sync calls with outstanding handles never tears a frame.
   FrameAssembler assembler_;

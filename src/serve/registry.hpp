@@ -45,7 +45,7 @@ namespace logsim::serve {
 
 /// One interned program: parsed and hashed once at REGISTER time, shared
 /// (immutably) by every connection that presents the handle.  An entry
-/// may carry a non-flat topology (protocol v3 REGISTER prefix): the
+/// may carry a non-flat topology (the REGISTER topology prefix): the
 /// NetworkModel is materialized once here, and every handle predict
 /// reuses it.  The topology is part of the entry's identity -- the same
 /// program registered under two topologies yields two handles -- which is

@@ -91,15 +91,6 @@ struct Server::Conn {
   bool want_write = false;
   /// The reactor that owns this fd (stable for the connection's life).
   Reactor* reactor = nullptr;
-  /// Wire codec, v1 text until a HELLO negotiates v2.  Written by the
-  /// owning reactor (frames are processed in order, so the switch lands
-  /// before any binary frame is decoded); workers read it for replies.
-  std::atomic<Codec> codec{Codec::kText};
-  /// The negotiated protocol version (same write discipline as codec).
-  /// Gates v3 semantics: the REGISTER topology prefix is only honoured on
-  /// connections that negotiated kProtocolVersionTopology, so pre-v3
-  /// program text is never reinterpreted.
-  std::atomic<std::uint32_t> version{kProtocolVersionText};
 
   /// Fires when the client disconnects (or the server stops): every
   /// inflight prediction of this connection observes it cooperatively.
@@ -586,7 +577,6 @@ void Server::conn_readable(const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
-  const Codec codec = conn->codec.load(std::memory_order_relaxed);
   switch (frame.kind) {
     case FrameKind::kPing: {
       enqueue_output(conn, Frame{FrameKind::kPong, frame.id, {}});
@@ -599,14 +589,20 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
         reject(conn, frame.id, 0, version.status());
         return;
       }
-      // Speak the highest version both sides know; the codec switch is
-      // effective for every LATER frame (processing is in order).
-      const std::uint32_t agreed =
-          std::min(version.value(), kProtocolVersionMax);
-      conn->version.store(agreed, std::memory_order_relaxed);
-      conn->codec.store(codec_for_version(agreed), std::memory_order_relaxed);
-      enqueue_output(
-          conn, Frame{FrameKind::kHelloAck, frame.id, encode_hello_ack(agreed)});
+      // Nothing is negotiated: the connection already speaks the one
+      // codec.  An older peer learns that here instead of on its first
+      // undecodable request; a newer one is acked down to ours.
+      if (version.value() < kProtocolVersion) {
+        protocol_errors_.add();
+        reject(conn, frame.id, 0,
+               Status::invalid_input(
+                   "protocol version " + std::to_string(version.value()) +
+                   " is not supported; this server speaks version " +
+                   std::to_string(kProtocolVersion)));
+        return;
+      }
+      enqueue_output(conn, Frame{FrameKind::kHelloAck, frame.id,
+                                 encode_hello_ack(kProtocolVersion)});
       return;
     }
     case FrameKind::kStats:
@@ -626,14 +622,15 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
       request.verb = frame.kind == FrameKind::kStats ? Request::Verb::kStats
                                                      : Request::Verb::kRegister;
       request.id = frame.id;
-      // REGISTER's payload is the raw program text under both codecs.
+      // REGISTER's payload is the raw program text (plus an optional
+      // topology prefix, split by the worker).
       request.req.program_text = std::move(frame.payload);
       request.accepted = std::chrono::steady_clock::now();
       scheduler_->push(conn, std::move(request));
       return;
     }
     case FrameKind::kPredict: {
-      Result<PredictRequest> req = decode_predict_request(frame.payload, codec);
+      Result<PredictRequest> req = decode_predict_request(frame.payload);
       if (!req.ok()) {
         protocol_errors_.add();
         reject(conn, frame.id, 0, req.status());
@@ -644,7 +641,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame frame) {
     }
     case FrameKind::kBatch: {
       Result<std::vector<PredictRequest>> jobs =
-          decode_batch_request(frame.payload, config_.limits, codec);
+          decode_batch_request(frame.payload, config_.limits);
       if (!jobs.ok()) {
         protocol_errors_.add();
         // Batch-level failure: the error, then the end-of-stream marker the
@@ -731,10 +728,8 @@ void Server::reject(const std::shared_ptr<Conn>& conn, std::uint64_t id,
   reply.index = index;
   reply.code = status.ok() ? ErrorCode::kInternal : status.code();
   reply.message = status.message();
-  enqueue_output(
-      conn, Frame{FrameKind::kError, id,
-                  encode_error_reply(
-                      reply, conn->codec.load(std::memory_order_relaxed))});
+  enqueue_output(conn,
+                 Frame{FrameKind::kError, id, encode_error_reply(reply)});
 }
 
 void Server::worker_loop(std::size_t index) {
@@ -810,7 +805,6 @@ void Server::prepare(Request& request, FlushSet& flush,
     }
     return;
   }
-  const Codec codec = conn->codec.load(std::memory_order_relaxed);
 
   if (request.verb == Request::Verb::kStats) {
     finish(request, Frame{FrameKind::kStatsText, request.id, render_stats()},
@@ -819,37 +813,29 @@ void Server::prepare(Request& request, FlushSet& flush,
   }
 
   if (request.verb == Request::Verb::kRegister) {
-    // v3 connections may prefix one "topology <spec>\n" line; older
-    // connections get the payload verbatim (the prefix convention did not
-    // exist before v3, so nothing can be misread).
+    // The payload may prefix one "topology <spec>\n" line.
+    RegisterRequest split = split_register_request(request.req.program_text);
     network::TopologySpec topology = network::TopologySpec::flat();
-    std::string program_text = std::move(request.req.program_text);
-    if (conn->version.load(std::memory_order_relaxed) >=
-        kProtocolVersionTopology) {
-      RegisterRequest split = split_register_request(program_text);
-      if (!split.topology_text.empty()) {
-        Result<network::TopologySpec> spec =
-            io::parse_topology(split.topology_text);
-        if (!spec.ok()) {
-          ErrorReply reply;
-          reply.index = 0;
-          reply.code = spec.status().code();
-          reply.message =
-              Status{spec.status()}
-                  .with_context("while parsing the topology to register")
-                  .to_string();
-          finish(request,
-                 Frame{FrameKind::kError, request.id,
-                       encode_error_reply(reply, codec)},
-                 /*is_error=*/true, flush);
-          return;
-        }
-        topology = std::move(spec).value();
-        program_text = std::move(split.program_text);
+    if (!split.topology_text.empty()) {
+      Result<network::TopologySpec> spec =
+          io::parse_topology(split.topology_text);
+      if (!spec.ok()) {
+        ErrorReply reply;
+        reply.index = 0;
+        reply.code = spec.status().code();
+        reply.message =
+            Status{spec.status()}
+                .with_context("while parsing the topology to register")
+                .to_string();
+        finish(request,
+               Frame{FrameKind::kError, request.id, encode_error_reply(reply)},
+               /*is_error=*/true, flush);
+        return;
       }
+      topology = std::move(spec).value();
     }
     const Result<std::shared_ptr<const RegisteredProgram>> entry =
-        registry_.intern(program_text, topology);
+        registry_.intern(split.program_text, topology);
     if (!entry.ok()) {
       ErrorReply reply;
       reply.index = 0;
@@ -857,14 +843,14 @@ void Server::prepare(Request& request, FlushSet& flush,
       reply.message = entry.status().to_string();
       finish(request,
              Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply, codec)},
+                   encode_error_reply(reply)},
              /*is_error=*/true, flush);
       return;
     }
     registered_.add();
     finish(request,
            Frame{FrameKind::kRegistered, request.id,
-                 encode_registered_reply(entry.value()->handle(), codec)},
+                 encode_registered_reply(entry.value()->handle())},
            /*is_error=*/false, flush);
     return;
   }
@@ -884,7 +870,7 @@ void Server::prepare(Request& request, FlushSet& flush,
           " (handles do not survive a server restart; REGISTER again)";
       finish(request,
              Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply, codec)},
+                   encode_error_reply(reply)},
              /*is_error=*/true, flush);
       return;
     }
@@ -906,7 +892,7 @@ void Server::prepare(Request& request, FlushSet& flush,
                           .to_string();
       finish(request,
              Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply, codec)},
+                   encode_error_reply(reply)},
              /*is_error=*/true, flush);
       return;
     }
@@ -929,7 +915,7 @@ void Server::prepare(Request& request, FlushSet& flush,
                         .to_string();
     finish(request,
            Frame{FrameKind::kError, request.id,
-                 encode_error_reply(reply, codec)},
+                 encode_error_reply(reply)},
            /*is_error=*/true, flush);
     return;
   }
@@ -937,10 +923,10 @@ void Server::prepare(Request& request, FlushSet& flush,
   pending.params.P = program->procs();
   pending.seed = request.req.seed;
 
-  // Topology resolution (protocol v3): an explicit TOPOLOGY field wins
-  // over whatever the handle's entry was registered with; without one, a
-  // handle request inherits the entry's model.  Flat stays the nullptr
-  // fast path either way.
+  // Topology resolution: an explicit TOPOLOGY field wins over whatever
+  // the handle's entry was registered with; without one, a handle request
+  // inherits the entry's model.  Flat stays the nullptr fast path either
+  // way.
   if (!request.req.topology_text.empty()) {
     Result<network::TopologySpec> spec =
         io::parse_topology(request.req.topology_text);
@@ -953,7 +939,7 @@ void Server::prepare(Request& request, FlushSet& flush,
           st.with_context("while parsing the request topology").to_string();
       finish(request,
              Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply, codec)},
+                   encode_error_reply(reply)},
              /*is_error=*/true, flush);
       return;
     }
@@ -991,7 +977,7 @@ void Server::prepare(Request& request, FlushSet& flush,
       reply.message = "request deadline expired while queued";
       finish(request,
              Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply, codec)},
+                   encode_error_reply(reply)},
              /*is_error=*/true, flush);
       return;
     }
@@ -1015,7 +1001,7 @@ void Server::prepare(Request& request, FlushSet& flush,
       reply.attempts = 1;
       finish(request,
              Frame{FrameKind::kResult, request.id,
-                   encode_predict_reply(reply, codec)},
+                   encode_predict_reply(reply)},
              /*is_error=*/false, flush);
       return;
     }
@@ -1042,7 +1028,6 @@ void Server::deliver(Pending& pending, const runtime::JobResult& result,
                      FlushSet& flush) {
   Request& request = *pending.request;
   const std::shared_ptr<Conn>& conn = request.conn;
-  const Codec codec = conn->codec.load(std::memory_order_relaxed);
   if (!result.ok()) {
     if (result.status.code() == ErrorCode::kCancelled &&
         conn->cancel.cancelled()) {
@@ -1062,7 +1047,7 @@ void Server::deliver(Pending& pending, const runtime::JobResult& result,
     reply.message = result.status.to_string();
     finish(request,
            Frame{FrameKind::kError, request.id,
-                 encode_error_reply(reply, codec)},
+                 encode_error_reply(reply)},
            /*is_error=*/true, flush);
     return;
   }
@@ -1080,7 +1065,7 @@ void Server::deliver(Pending& pending, const runtime::JobResult& result,
   reply.attempts = result.attempts;
   finish(request,
          Frame{FrameKind::kResult, request.id,
-               encode_predict_reply(reply, codec)},
+               encode_predict_reply(reply)},
          /*is_error=*/false, flush);
 }
 

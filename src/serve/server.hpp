@@ -1,6 +1,6 @@
 #pragma once
 // logsimd's engine: a long-running TCP prediction server (DESIGN.md §12,
-// §14 for the v2 hot path).
+// §14 for the registered-handle hot path).
 //
 // Architecture (plain sockets, no external deps):
 //
@@ -28,9 +28,9 @@
 //   * per-request deadlines ride in on the wire (deadline_ms) and map to
 //     PredictJob::deadline; a client disconnect cancels its inflight
 //     requests through PredictJob::cancel (fault::CancelToken);
-//   * each connection speaks protocol v1 (text) until a HELLO frame
-//     negotiates v2 (binary); the codec is per-connection state the
-//     owning reactor sets and workers read when encoding replies;
+//   * every connection speaks the one binary codec from its first frame;
+//     a HELLO only checks that the peer is not older than
+//     kProtocolVersion;
 //   * every request runs under an obs span ("serve.request") and feeds
 //     the serve.* metrics; the STATS verb renders the obs::Snapshot --
 //     the registry plus span aggregates -- over the wire.

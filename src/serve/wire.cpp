@@ -5,15 +5,21 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "fault/failpoint.hpp"
 
 namespace logsim::serve {
 
 namespace {
+
+constexpr char kHelloMagic[4] = {'L', 'S', 'I', 'M'};
+
+constexpr std::uint8_t kPredictFlagHandle = 0x01;
+/// A topology string trails the program string.
+constexpr std::uint8_t kPredictFlagTopology = 0x02;
+constexpr std::uint8_t kPredictFlagsKnown =
+    kPredictFlagHandle | kPredictFlagTopology;
 
 void put_u32le(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -43,19 +49,11 @@ std::uint64_t get_u64le(const char* p) {
   return v;
 }
 
-/// %.17g renders a double so that strtod() recovers the identical bits --
-/// the property the bit-identical serving contract rests on.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 void put_double_le(std::string& out, double v) {
   put_u64le(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked cursor over a v2 binary payload: every getter fails with
+/// Bounds-checked cursor over a binary payload: every getter fails with
 /// an invalid-input Status instead of reading past the end, so truncated
 /// or hostile payloads degrade to errors, never out-of-bounds reads.
 class BinaryReader {
@@ -116,7 +114,7 @@ class BinaryReader {
 
 /// Trailing garbage after a fully decoded binary envelope is a protocol
 /// error: a well-formed peer never pads, so extra bytes mean corruption or
-/// a codec mixup (a v1 text payload fed to the v2 decoder).
+/// a peer speaking some other encoding.
 Status expect_done(const BinaryReader& r, const char* what) {
   if (r.done()) return Status{};
   return Status::invalid_input(std::string{"binary envelope: "} +
@@ -264,228 +262,10 @@ Result<std::optional<Frame>> FrameAssembler::next() {
 }
 
 // --- envelopes -----------------------------------------------------------
-
-std::string encode_predict_request(const PredictRequest& req) {
-  std::ostringstream os;
-  os << "params " << req.params_text << '\n'
-     << "seed " << req.seed << '\n'
-     << "deadline_ms " << req.deadline_ms << '\n';
-  // The handle/topology lines only appear when set, so payloads without
-  // them stay byte-identical to what older builds emitted.
-  if (req.handle != 0) os << "handle " << req.handle << '\n';
-  if (!req.topology_text.empty()) os << "topology " << req.topology_text << '\n';
-  os << "program\n" << req.program_text;
-  return os.str();
-}
-
-Result<PredictRequest> decode_predict_request(const std::string& payload) {
-  PredictRequest req;
-  std::size_t pos = 0;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    const std::string line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line == "program") {
-      req.program_text = payload.substr(std::min(pos, payload.size()));
-      return req;
-    }
-    std::istringstream ls{line};
-    std::string key;
-    ls >> key;
-    if (key == "params") {
-      // Everything after "params " is the value (presets or k=v lists
-      // contain no spaces today, but stay permissive).
-      const std::size_t sp = line.find(' ');
-      req.params_text = sp == std::string::npos ? "" : line.substr(sp + 1);
-    } else if (key == "seed") {
-      if (!(ls >> req.seed)) {
-        return Status::invalid_input("predict envelope: malformed seed");
-      }
-    } else if (key == "deadline_ms") {
-      if (!(ls >> req.deadline_ms)) {
-        return Status::invalid_input("predict envelope: malformed deadline_ms");
-      }
-    } else if (key == "handle") {
-      if (!(ls >> req.handle)) {
-        return Status::invalid_input("predict envelope: malformed handle");
-      }
-    } else if (key == "topology") {
-      // v3 field; the decoder is lenient (decoding costs nothing, and the
-      // semantic layer validates the spec) -- only SENDING is gated on the
-      // negotiated version.
-      const std::size_t sp = line.find(' ');
-      req.topology_text = sp == std::string::npos ? "" : line.substr(sp + 1);
-      if (req.topology_text.empty()) {
-        return Status::invalid_input("predict envelope: empty topology");
-      }
-    } else {
-      return Status::invalid_input("predict envelope: unknown key '" + key +
-                                   "'");
-    }
-  }
-  return Status::invalid_input("predict envelope: missing 'program' section");
-}
-
-std::string encode_batch_request(const std::vector<PredictRequest>& jobs) {
-  std::string out = "jobs " + std::to_string(jobs.size()) + "\n";
-  for (const PredictRequest& job : jobs) {
-    const std::string body = encode_predict_request(job);
-    out += "job " + std::to_string(body.size()) + "\n";
-    out += body;
-  }
-  return out;
-}
-
-Result<std::vector<PredictRequest>> decode_batch_request(
-    const std::string& payload, const WireLimits& limits) {
-  std::size_t pos = 0;
-  auto next_line = [&]() -> std::optional<std::string> {
-    if (pos >= payload.size()) return std::nullopt;
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    std::string line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    return line;
-  };
-
-  const auto header = next_line();
-  std::istringstream hs{header.value_or("")};
-  std::string key;
-  std::size_t count = 0;
-  if (!(hs >> key >> count) || key != "jobs") {
-    return Status::invalid_input("batch envelope: expected 'jobs N' header");
-  }
-  // One embedded job needs at least its "job N" line; cap the declared
-  // count accordingly so a hostile header cannot force a huge reserve.
-  if (count > payload.size()) {
-    return Status::invalid_input("batch envelope: job count " +
-                                 std::to_string(count) +
-                                 " exceeds the payload size");
-  }
-  std::vector<PredictRequest> jobs;
-  jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto job_line = next_line();
-    if (!job_line.has_value()) {
-      return Status::invalid_input("batch envelope: truncated before job " +
-                                   std::to_string(i));
-    }
-    std::istringstream js{*job_line};
-    std::size_t bytes = 0;
-    if (!(js >> key >> bytes) || key != "job") {
-      return Status::invalid_input("batch envelope: expected 'job <bytes>' "
-                                   "before job " +
-                                   std::to_string(i));
-    }
-    if (bytes > limits.max_payload || pos + bytes > payload.size()) {
-      return Status::invalid_input("batch envelope: job " + std::to_string(i) +
-                                   " declares " + std::to_string(bytes) +
-                                   " bytes but the payload is shorter");
-    }
-    Result<PredictRequest> job =
-        decode_predict_request(payload.substr(pos, bytes));
-    if (!job.ok()) {
-      return Status{job.status()}.with_context("while decoding batch job " +
-                                               std::to_string(i));
-    }
-    jobs.push_back(std::move(job).value());
-    pos += bytes;
-  }
-  return jobs;
-}
-
-std::string encode_predict_reply(const PredictReply& reply) {
-  std::ostringstream os;
-  os << "index " << reply.index << '\n'
-     << "total_us " << fmt_double(reply.total_us) << '\n'
-     << "comp_us " << fmt_double(reply.comp_us) << '\n'
-     << "comm_us " << fmt_double(reply.comm_us) << '\n'
-     << "total_worst_us " << fmt_double(reply.total_worst_us) << '\n'
-     << "comm_worst_us " << fmt_double(reply.comm_worst_us) << '\n'
-     << "from_cache " << (reply.from_cache ? 1 : 0) << '\n'
-     << "attempts " << reply.attempts << '\n';
-  return os.str();
-}
-
-Result<PredictReply> decode_predict_reply(const std::string& payload) {
-  PredictReply reply;
-  std::istringstream in{payload};
-  std::string line;
-  bool saw_total = false;
-  while (std::getline(in, line)) {
-    std::istringstream ls{line};
-    std::string key;
-    if (!(ls >> key)) continue;
-    bool ok = true;
-    if (key == "index") {
-      ok = static_cast<bool>(ls >> reply.index);
-    } else if (key == "total_us") {
-      ok = static_cast<bool>(ls >> reply.total_us);
-      saw_total = ok;
-    } else if (key == "comp_us") {
-      ok = static_cast<bool>(ls >> reply.comp_us);
-    } else if (key == "comm_us") {
-      ok = static_cast<bool>(ls >> reply.comm_us);
-    } else if (key == "total_worst_us") {
-      ok = static_cast<bool>(ls >> reply.total_worst_us);
-    } else if (key == "comm_worst_us") {
-      ok = static_cast<bool>(ls >> reply.comm_worst_us);
-    } else if (key == "from_cache") {
-      int v = 0;
-      ok = static_cast<bool>(ls >> v);
-      reply.from_cache = v == 1;
-    } else if (key == "attempts") {
-      ok = static_cast<bool>(ls >> reply.attempts);
-    } else {
-      return Status::invalid_input("result envelope: unknown key '" + key +
-                                   "'");
-    }
-    if (!ok) {
-      return Status::invalid_input("result envelope: malformed value for '" +
-                                   key + "'");
-    }
-  }
-  if (!saw_total) {
-    return Status::invalid_input("result envelope: missing total_us");
-  }
-  return reply;
-}
-
-std::string encode_error_reply(const ErrorReply& reply) {
-  std::ostringstream os;
-  os << "index " << reply.index << '\n'
-     << "code " << error_code_name(reply.code) << '\n'
-     << "message " << reply.message;
-  return os.str();
-}
-
-// --- protocol v2: fixed-width little-endian envelopes --------------------
 //
-// Byte-level layouts (DESIGN.md §14).  All integers little-endian, doubles
-// as raw IEEE-754 bits, strings as u32le length + raw bytes.
-//
-//   PREDICT:  u8 flags (bit0 = has handle, bit1 = has topology) |
-//             u64 handle | u64 seed | u64 deadline_ms | str params |
-//             str program | [str topology   iff bit1]
-//   BATCH:    u32 count | count * (str embedded-PREDICT-payload)
-//   RESULT:   u64 index | f64 total | f64 comp | f64 comm |
-//             f64 total_worst | f64 comm_worst | u8 from_cache |
-//             u32 attempts
-//   ERROR:    u64 index | str code-name | str message
-//   REGISTERED: u64 handle
+// Byte-level layouts: see wire.hpp (and DESIGN.md §14).
 
-namespace {
-
-constexpr std::uint8_t kPredictFlagHandle = 0x01;
-/// v3: a topology string trails the program string.  A v2-only peer
-/// rejects the bit as unknown, which is why clients gate on the
-/// negotiated version before setting topology_text.
-constexpr std::uint8_t kPredictFlagTopology = 0x02;
-constexpr std::uint8_t kPredictFlagsKnown =
-    kPredictFlagHandle | kPredictFlagTopology;
-
-std::string encode_predict_request_v2(const PredictRequest& req) {
+std::string encode_predict_request(const PredictRequest& req, Codec) {
   std::string out;
   out.reserve(33 + req.params_text.size() + req.program_text.size() +
               req.topology_text.size());
@@ -507,7 +287,8 @@ std::string encode_predict_request_v2(const PredictRequest& req) {
   return out;
 }
 
-Result<PredictRequest> decode_predict_request_v2(const std::string& payload) {
+Result<PredictRequest> decode_predict_request(const std::string& payload,
+                                              Codec) {
   BinaryReader r{payload};
   PredictRequest req;
   std::uint8_t flags = 0;
@@ -535,19 +316,20 @@ Result<PredictRequest> decode_predict_request_v2(const std::string& payload) {
   return req;
 }
 
-std::string encode_batch_request_v2(const std::vector<PredictRequest>& jobs) {
+std::string encode_batch_request(const std::vector<PredictRequest>& jobs,
+                                 Codec) {
   std::string out;
   put_u32le(out, static_cast<std::uint32_t>(jobs.size()));
   for (const PredictRequest& job : jobs) {
-    const std::string body = encode_predict_request_v2(job);
+    const std::string body = encode_predict_request(job);
     put_u32le(out, static_cast<std::uint32_t>(body.size()));
     out.append(body);
   }
   return out;
 }
 
-Result<std::vector<PredictRequest>> decode_batch_request_v2(
-    const std::string& payload, const WireLimits& limits) {
+Result<std::vector<PredictRequest>> decode_batch_request(
+    const std::string& payload, const WireLimits& limits, Codec) {
   BinaryReader r{payload};
   std::uint32_t count = 0;
   if (Status st = r.get_u32(&count); !st.ok()) return st;
@@ -569,7 +351,7 @@ Result<std::vector<PredictRequest>> decode_batch_request_v2(
       return Status::invalid_input("batch envelope: job " + std::to_string(i) +
                                    " exceeds the max-message size");
     }
-    Result<PredictRequest> job = decode_predict_request_v2(body);
+    Result<PredictRequest> job = decode_predict_request(body);
     if (!job.ok()) {
       return Status{job.status()}.with_context("while decoding batch job " +
                                                std::to_string(i));
@@ -580,7 +362,7 @@ Result<std::vector<PredictRequest>> decode_batch_request_v2(
   return jobs;
 }
 
-std::string encode_predict_reply_v2(const PredictReply& reply) {
+std::string encode_predict_reply(const PredictReply& reply, Codec) {
   std::string out;
   out.reserve(53);
   put_u64le(out, reply.index);
@@ -594,7 +376,8 @@ std::string encode_predict_reply_v2(const PredictReply& reply) {
   return out;
 }
 
-Result<PredictReply> decode_predict_reply_v2(const std::string& payload) {
+Result<PredictReply> decode_predict_reply(const std::string& payload,
+                                          Codec) {
   BinaryReader r{payload};
   PredictReply reply;
   if (Status st = r.get_u64(&reply.index); !st.ok()) return st;
@@ -616,7 +399,7 @@ Result<PredictReply> decode_predict_reply_v2(const std::string& payload) {
   return reply;
 }
 
-std::string encode_error_reply_v2(const ErrorReply& reply) {
+std::string encode_error_reply(const ErrorReply& reply, Codec) {
   std::string out;
   const std::string code = error_code_name(reply.code);
   put_u64le(out, reply.index);
@@ -627,7 +410,7 @@ std::string encode_error_reply_v2(const ErrorReply& reply) {
   return out;
 }
 
-Result<ErrorReply> decode_error_reply_v2(const std::string& payload) {
+Result<ErrorReply> decode_error_reply(const std::string& payload, Codec) {
   BinaryReader r{payload};
   ErrorReply reply;
   if (Status st = r.get_u64(&reply.index); !st.ok()) return st;
@@ -639,62 +422,11 @@ Result<ErrorReply> decode_error_reply_v2(const std::string& payload) {
   return reply;
 }
 
-}  // namespace
+// --- version check + registration -----------------------------------------
 
-std::string encode_predict_request(const PredictRequest& req, Codec codec) {
-  return codec == Codec::kBinary ? encode_predict_request_v2(req)
-                                 : encode_predict_request(req);
-}
-
-Result<PredictRequest> decode_predict_request(const std::string& payload,
-                                              Codec codec) {
-  return codec == Codec::kBinary ? decode_predict_request_v2(payload)
-                                 : decode_predict_request(payload);
-}
-
-std::string encode_batch_request(const std::vector<PredictRequest>& jobs,
-                                 Codec codec) {
-  return codec == Codec::kBinary ? encode_batch_request_v2(jobs)
-                                 : encode_batch_request(jobs);
-}
-
-Result<std::vector<PredictRequest>> decode_batch_request(
-    const std::string& payload, const WireLimits& limits, Codec codec) {
-  return codec == Codec::kBinary ? decode_batch_request_v2(payload, limits)
-                                 : decode_batch_request(payload, limits);
-}
-
-std::string encode_predict_reply(const PredictReply& reply, Codec codec) {
-  return codec == Codec::kBinary ? encode_predict_reply_v2(reply)
-                                 : encode_predict_reply(reply);
-}
-
-Result<PredictReply> decode_predict_reply(const std::string& payload,
-                                          Codec codec) {
-  return codec == Codec::kBinary ? decode_predict_reply_v2(payload)
-                                 : decode_predict_reply(payload);
-}
-
-std::string encode_error_reply(const ErrorReply& reply, Codec codec) {
-  return codec == Codec::kBinary ? encode_error_reply_v2(reply)
-                                 : encode_error_reply(reply);
-}
-
-Result<ErrorReply> decode_error_reply(const std::string& payload,
-                                      Codec codec) {
-  return codec == Codec::kBinary ? decode_error_reply_v2(payload)
-                                 : decode_error_reply(payload);
-}
-
-// --- negotiation + registration ------------------------------------------
-
-namespace {
-constexpr char kHelloMagic[4] = {'L', 'S', 'I', 'M'};
-}  // namespace
-
-std::string encode_hello_request(std::uint32_t max_version) {
+std::string encode_hello_request(std::uint32_t version) {
   std::string out{kHelloMagic, sizeof kHelloMagic};
-  put_u32le(out, max_version);
+  put_u32le(out, version);
   return out;
 }
 
@@ -727,13 +459,18 @@ Result<std::uint32_t> decode_hello_ack(const std::string& payload) {
   return version;
 }
 
-std::string encode_registered_reply(std::uint64_t handle, Codec codec) {
-  if (codec == Codec::kBinary) {
-    std::string out;
-    put_u64le(out, handle);
-    return out;
+std::string encode_registered_reply(std::uint64_t handle, Codec) {
+  std::string out;
+  put_u64le(out, handle);
+  return out;
+}
+
+Result<std::uint64_t> decode_registered_reply(const std::string& payload,
+                                              Codec) {
+  if (payload.size() != 8) {
+    return Status::invalid_input("registered envelope: bad length");
   }
-  return "handle " + std::to_string(handle) + "\n";
+  return get_u64le(payload.data());
 }
 
 std::string encode_register_request(const std::string& program_text,
@@ -755,57 +492,6 @@ RegisterRequest split_register_request(const std::string& payload) {
   }
   req.program_text = payload;
   return req;
-}
-
-Result<std::uint64_t> decode_registered_reply(const std::string& payload,
-                                              Codec codec) {
-  if (codec == Codec::kBinary) {
-    if (payload.size() != 8) {
-      return Status::invalid_input("registered envelope: bad length");
-    }
-    return get_u64le(payload.data());
-  }
-  std::istringstream is{payload};
-  std::string key;
-  std::uint64_t handle = 0;
-  if (!(is >> key >> handle) || key != "handle" || handle == 0) {
-    return Status::invalid_input("registered envelope: expected 'handle N'");
-  }
-  return handle;
-}
-
-Result<ErrorReply> decode_error_reply(const std::string& payload) {
-  ErrorReply reply;
-  std::size_t pos = 0;
-  bool saw_code = false;
-  while (pos < payload.size()) {
-    const std::size_t line_start = pos;
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    const std::string line = payload.substr(line_start, eol - line_start);
-    pos = eol + 1;
-    if (line.rfind("message ", 0) == 0) {
-      if (!saw_code) {
-        return Status::invalid_input("error envelope: message before code");
-      }
-      // The message is the rest of the payload, newlines and all.
-      reply.message = payload.substr(line_start + std::strlen("message "));
-      return reply;
-    }
-    std::istringstream ls{line};
-    std::string key, value;
-    ls >> key >> value;
-    if (key == "index") {
-      reply.index = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "code") {
-      reply.code = error_code_from_name(value);
-      saw_code = true;
-    } else {
-      return Status::invalid_input("error envelope: unknown key '" + key +
-                                   "'");
-    }
-  }
-  return Status::invalid_input("error envelope: missing message");
 }
 
 }  // namespace logsim::serve

@@ -10,47 +10,34 @@
 // as one kResult per job, tagged with the job index inside the payload,
 // then one kBatchEnd).
 //
-// Two payload codecs share that framing.  Protocol v1 (Codec::kText) wraps
-// the library's text codecs -- io::parse_program / io::parse_params on the
-// way in, the %.17g decimal rendering of the prediction times on the way
-// out, which round-trips doubles exactly -- in a small line-oriented
-// envelope:
+// Payloads use one binary codec: fixed-width little-endian integers,
+// doubles as raw IEEE-754 bits (so a served prediction is bit-identical
+// to an in-process one), strings as u32le length + raw bytes.  Program
+// and topology text stay in the io formats inside those strings.
 //
-//   PREDICT payload                     RESULT payload
-//     params meiko                        index 0
-//     seed 1                              total_us 1234.5
-//     deadline_ms 250                     comp_us ...
-//     handle 7       (only if nonzero)    comm_us ...
-//     topology torus:4x4  (v3, if set)    total_worst_us ...
-//     program                             comm_worst_us ...
-//     <program text...>
-//                                         from_cache 1
-//                                         attempts 1
+//   PREDICT:    u8 flags (bit0 = has handle, bit1 = has topology) |
+//               u64 handle | u64 seed | u64 deadline_ms | str params |
+//               str program | [str topology   iff bit1]
+//   BATCH:      u32 count | count * (str embedded-PREDICT-payload)
+//   RESULT:     u64 index | f64 total | f64 comp | f64 comm |
+//               f64 total_worst | f64 comm_worst | u8 from_cache |
+//               u32 attempts
+//   ERROR:      u64 index | str code-name | str message
+//   REGISTERED: u64 handle
 //
 // (A reply always carries BOTH the standard and the worst-case schedule's
 // numbers -- the predictor computes both anyway -- so there is no "worst"
 // request flag; clients pick which to display.)
 //
-//   BATCH payload: "jobs N" then N sections of "job <bytes>" + an embedded
-//   PREDICT payload of exactly that many bytes.
+// Every connection speaks this codec from its first frame.  HELLO is an
+// optional check, not a negotiation: the client sends the "LSIM" magic and
+// the version it speaks; the server acks kProtocolVersion when the offer
+// is at least that, and answers an older offer with an invalid-input
+// ERROR.
 //
-//   ERROR payload: "index I", "code <error-code-name>", then "message "
-//   followed by the rest of the payload (messages may contain newlines).
-//
-// Protocol v2 (Codec::kBinary) carries the same envelopes as fixed-width
-// little-endian fields with doubles as raw IEEE-754 bits (DESIGN.md §14
-// has the byte-level layouts).  v2 is negotiated per connection: the
-// client sends a HELLO frame ("LSIM" magic + the highest version it
-// speaks), the server answers kHelloAck with min(its own max, the
-// client's), and both sides switch codecs iff the agreed version is >= 2.
-// A connection that never says HELLO speaks v1 forever -- old clients work
-// unchanged.  Both codecs decode the identical PredictRequest /
-// PredictReply / ErrorReply values bit-for-bit (doubles included); tests
-// cross-check this on a corpus.
-//
-// REGISTER (v2 feature, but legal under both codecs) interns a program on
-// the server and returns a compact handle; steady-state PREDICT payloads
-// then carry (handle, params, seed) and no program text at all.
+// REGISTER interns a program on the server and returns a compact handle;
+// steady-state PREDICT payloads then carry (handle, params, seed) and no
+// program text at all.
 //
 // Untrusted boundary on both ends: oversized declared lengths, truncated
 // streams and malformed envelopes all come back as Status -- never an
@@ -75,37 +62,25 @@ enum class FrameKind : std::uint8_t {
   kPredict = 2,
   kBatch = 3,
   kStats = 4,
-  kHello = 5,     ///< codec negotiation; payload is version-framed
+  kHello = 5,     ///< protocol version check; payload is version-framed
   kRegister = 6,  ///< intern a program; payload is the raw program text
   kPong = 64,
   kResult = 65,
   kError = 66,
   kStatsText = 67,
   kBatchEnd = 68,
-  kHelloAck = 69,    ///< accepted protocol version
+  kHelloAck = 69,    ///< the server's protocol version
   kRegistered = 70,  ///< the handle assigned by REGISTER
 };
 
-/// Payload codec of one connection.  Framing is codec-independent; only
-/// the payload encoding differs.
+/// The one payload codec; kept as a type only because benchmark/ names it.
 enum class Codec : std::uint8_t {
-  kText = 1,    ///< protocol v1: line-oriented text envelopes
-  kBinary = 2,  ///< protocol v2: fixed-width little-endian fields
+  kBinary = 2,
 };
 
-inline constexpr std::uint32_t kProtocolVersionText = 1;
-inline constexpr std::uint32_t kProtocolVersionBinary = 2;
-/// v3 adds the optional TOPOLOGY field on PREDICT and REGISTER (the
-/// io/topology_io.hpp text format).  Same binary codec as v2; the version
-/// gates whether a client may SEND the field (older peers reject unknown
-/// keys / flag bits by design).
-inline constexpr std::uint32_t kProtocolVersionTopology = 3;
-inline constexpr std::uint32_t kProtocolVersionMax = kProtocolVersionTopology;
-
-/// The codec a negotiated protocol version implies.
-[[nodiscard]] constexpr Codec codec_for_version(std::uint32_t version) {
-  return version >= kProtocolVersionBinary ? Codec::kBinary : Codec::kText;
-}
+/// The protocol version this build speaks and acks on HELLO.  Its bytes
+/// are those of the former v3, so a v3 peer keeps working.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// True for kinds this build understands (a peer speaking a newer protocol
 /// revision gets a protocol error, not undefined behaviour).
@@ -180,11 +155,9 @@ struct PredictRequest {
   /// program text.
   std::uint64_t handle = 0;
   /// Network topology in the io/topology_io.hpp text format ("torus:4x4",
-  /// "fattree:4,4/1,2", ...); empty = the flat LogGP network.  Requires a
-  /// negotiated protocol version >= kProtocolVersionTopology to send
-  /// (clients enforce this; older servers reject the unknown field).  On a
-  /// handle request a non-empty value overrides the topology the program
-  /// was registered with.
+  /// "fattree:4,4/1,2", ...); empty = the flat LogGP network.  On a handle
+  /// request a non-empty value overrides the topology the program was
+  /// registered with.
   std::string topology_text;
 };
 
@@ -207,64 +180,49 @@ struct ErrorReply {
   [[nodiscard]] Status to_status() const { return Status{code, message}; }
 };
 
-// The zero-argument-codec overloads are protocol v1 (text); the Codec
-// overloads dispatch.  Both codecs round-trip the identical struct values,
+// Each encoder/decoder pair round-trips the identical struct values,
 // doubles bit-for-bit.
 
-[[nodiscard]] std::string encode_predict_request(const PredictRequest& req);
-[[nodiscard]] Result<PredictRequest> decode_predict_request(
-    const std::string& payload);
 [[nodiscard]] std::string encode_predict_request(const PredictRequest& req,
-                                                 Codec codec);
+                                                 Codec codec = Codec::kBinary);
 [[nodiscard]] Result<PredictRequest> decode_predict_request(
-    const std::string& payload, Codec codec);
+    const std::string& payload, Codec codec = Codec::kBinary);
 
 [[nodiscard]] std::string encode_batch_request(
-    const std::vector<PredictRequest>& jobs);
+    const std::vector<PredictRequest>& jobs, Codec codec = Codec::kBinary);
 [[nodiscard]] Result<std::vector<PredictRequest>> decode_batch_request(
-    const std::string& payload, const WireLimits& limits);
-[[nodiscard]] std::string encode_batch_request(
-    const std::vector<PredictRequest>& jobs, Codec codec);
-[[nodiscard]] Result<std::vector<PredictRequest>> decode_batch_request(
-    const std::string& payload, const WireLimits& limits, Codec codec);
+    const std::string& payload, const WireLimits& limits,
+    Codec codec = Codec::kBinary);
 
-[[nodiscard]] std::string encode_predict_reply(const PredictReply& reply);
-[[nodiscard]] Result<PredictReply> decode_predict_reply(
-    const std::string& payload);
 [[nodiscard]] std::string encode_predict_reply(const PredictReply& reply,
-                                               Codec codec);
+                                               Codec codec = Codec::kBinary);
 [[nodiscard]] Result<PredictReply> decode_predict_reply(
-    const std::string& payload, Codec codec);
+    const std::string& payload, Codec codec = Codec::kBinary);
 
-[[nodiscard]] std::string encode_error_reply(const ErrorReply& reply);
-[[nodiscard]] Result<ErrorReply> decode_error_reply(const std::string& payload);
 [[nodiscard]] std::string encode_error_reply(const ErrorReply& reply,
-                                             Codec codec);
-[[nodiscard]] Result<ErrorReply> decode_error_reply(const std::string& payload,
-                                                    Codec codec);
+                                             Codec codec = Codec::kBinary);
+[[nodiscard]] Result<ErrorReply> decode_error_reply(
+    const std::string& payload, Codec codec = Codec::kBinary);
 
-// --- negotiation + registration ------------------------------------------
+// --- version check + registration ---------------------------------------
 
-/// HELLO payload: "LSIM" magic + u32le highest version the client speaks.
-[[nodiscard]] std::string encode_hello_request(std::uint32_t max_version);
+/// HELLO payload: "LSIM" magic + u32le version the client speaks.
+[[nodiscard]] std::string encode_hello_request(std::uint32_t version);
 [[nodiscard]] Result<std::uint32_t> decode_hello_request(
     const std::string& payload);
 
-/// HELLO-ACK payload: u32le version the server picked (min of both sides).
+/// HELLO-ACK payload: u32le version the server speaks (kProtocolVersion).
 [[nodiscard]] std::string encode_hello_ack(std::uint32_t version);
 [[nodiscard]] Result<std::uint32_t> decode_hello_ack(
     const std::string& payload);
 
-// REGISTER requests carry the raw program text as the payload under both
-// codecs (no envelope; the text IS the message).  Protocol v3 optionally
-// prefixes one "topology <spec>\n" line (split_register_request peels it);
-// the server only honours the prefix on connections that negotiated v3,
-// so pre-v3 program text is never reinterpreted.  The reply differs:
-// v1 renders "handle N", v2 a u64le.
+// REGISTER requests carry the raw program text as the payload (no
+// envelope; the text IS the message), optionally prefixed with one
+// "topology <spec>\n" line that split_register_request peels.
 [[nodiscard]] std::string encode_registered_reply(std::uint64_t handle,
-                                                  Codec codec);
+                                                  Codec codec = Codec::kBinary);
 [[nodiscard]] Result<std::uint64_t> decode_registered_reply(
-    const std::string& payload, Codec codec);
+    const std::string& payload, Codec codec = Codec::kBinary);
 
 /// A REGISTER payload split into its optional topology prefix and the
 /// program text proper.
@@ -274,8 +232,7 @@ struct RegisterRequest {
 };
 
 /// Builds a REGISTER payload: the program text, prefixed with one
-/// "topology <spec>\n" line when `topology_text` is non-empty (protocol
-/// v3; the caller must have negotiated it).
+/// "topology <spec>\n" line when `topology_text` is non-empty.
 [[nodiscard]] std::string encode_register_request(
     const std::string& program_text, const std::string& topology_text);
 

@@ -359,7 +359,9 @@ TEST(HardenedRuntime, CheckpointResumeAfterSimulatedCrashIsBitIdentical) {
     ASSERT_TRUE(results[i].ok()) << results[i].error();
     expect_identical(results[i].value(), fx.serial[i]);
     EXPECT_EQ(results[i].from_checkpoint, i < 4);
-    if (i < 4) EXPECT_EQ(results[i].attempts, 0);
+    if (i < 4) {
+      EXPECT_EQ(results[i].attempts, 0);
+    }
   }
   EXPECT_EQ(metrics.counter("checkpoint.hits").value(), 4u);
 

@@ -1,4 +1,4 @@
-// Tests for the serving layer (DESIGN.md §12): wire codecs, the in-process
+// Tests for the serving layer (DESIGN.md §12): the wire codec, the in-process
 // daemon on an ephemeral port, bit-identity against the direct
 // BatchPredictor path, fair concurrency, admission control, deadlines and
 // disconnect cancellation (failpoint-driven), and the io parsers'
@@ -136,44 +136,83 @@ class ServeTest : public ::testing::Test {
   std::unique_ptr<serve::Server> server_;
 };
 
-// --- wire codecs ---------------------------------------------------------
+// --- wire codec ----------------------------------------------------------
+
+/// Bit-exact double comparison: the served raw-bits path must agree with
+/// the in-process numbers on the very last mantissa bit, not just "close".
+::testing::AssertionResult same_bits(double a, double b) {
+  std::uint64_t ba = 0;
+  std::uint64_t bb = 0;
+  std::memcpy(&ba, &a, sizeof a);
+  std::memcpy(&bb, &b, sizeof b);
+  if (ba == bb) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a << " and " << b << " differ in bits (" << std::hex << ba
+         << " vs " << bb << ")";
+}
 
 TEST(ServeWire, PredictRequestRoundTrips) {
+  std::vector<serve::PredictRequest> requests;
   serve::PredictRequest req;
-  req.params_text = "L=9,o=2,g=13,G=0.03";
-  req.seed = 42;
-  req.deadline_ms = 250;
-  req.program_text = sample_program();
-  const Result<serve::PredictRequest> back =
-      serve::decode_predict_request(serve::encode_predict_request(req));
-  ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_EQ(back->params_text, req.params_text);
-  EXPECT_EQ(back->seed, 42u);
-  EXPECT_EQ(back->deadline_ms, 250u);
-  EXPECT_EQ(back->program_text, req.program_text);
+  req.params_text = "L=9.25,o=2,g=13,G=0.03";
+  req.seed = 0xffffffffffffffffull;
+  req.deadline_ms = 123456789;
+  req.program_text = sample_program(3);
+  requests.push_back(req);
+  req = serve::PredictRequest{};
+  req.handle = 0x1234567890abcdefull;
+  requests.push_back(req);
+  req = serve::PredictRequest{};
+  req.params_text = "";  // degenerate but encodable
+  requests.push_back(req);
+  for (const serve::PredictRequest& want : requests) {
+    const Result<serve::PredictRequest> got =
+        serve::decode_predict_request(serve::encode_predict_request(want));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got->params_text, want.params_text);
+    EXPECT_EQ(got->seed, want.seed);
+    EXPECT_EQ(got->deadline_ms, want.deadline_ms);
+    EXPECT_EQ(got->handle, want.handle);
+    EXPECT_EQ(got->program_text, want.program_text);
+  }
 }
 
 TEST(ServeWire, PredictReplyRoundTripsDoublesExactly) {
-  serve::PredictReply reply;
-  reply.index = 7;
-  reply.total_us = 1234.5678901234567;     // needs all 17 digits
-  reply.comp_us = 0.1;                     // classic non-representable
-  reply.comm_us = 3.0000000000000004;
-  reply.total_worst_us = 1e-300;
-  reply.comm_worst_us = 9.87654321e12;
-  reply.from_cache = true;
-  reply.attempts = 3;
-  const Result<serve::PredictReply> back =
-      serve::decode_predict_reply(serve::encode_predict_reply(reply));
-  ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_EQ(back->index, 7u);
-  EXPECT_EQ(back->total_us, reply.total_us);  // bit-exact, not NEAR
-  EXPECT_EQ(back->comp_us, reply.comp_us);
-  EXPECT_EQ(back->comm_us, reply.comm_us);
-  EXPECT_EQ(back->total_worst_us, reply.total_worst_us);
-  EXPECT_EQ(back->comm_worst_us, reply.comm_worst_us);
-  EXPECT_TRUE(back->from_cache);
-  EXPECT_EQ(back->attempts, 3);
+  // Awkward doubles: denormal-adjacent, ULP-separated pairs, huge
+  // magnitudes, values that need all 17 digits -- every one must survive
+  // bit-for-bit.
+  constexpr std::size_t kNasty = 8;
+  const double nasty[kNasty] = {0.0,
+                                1e-300,
+                                1.0000000000000002,
+                                0.1,
+                                3.0000000000000004,
+                                9.87654321e12,
+                                825.16000000000008,
+                                1234.5678901234567};
+  std::size_t pick = 0;
+  for (std::size_t round = 0; round < kNasty; ++round) {
+    serve::PredictReply reply;
+    reply.index = round;
+    reply.total_us = nasty[pick++ % kNasty];
+    reply.comp_us = nasty[pick++ % kNasty];
+    reply.comm_us = nasty[pick++ % kNasty];
+    reply.total_worst_us = nasty[pick++ % kNasty];
+    reply.comm_worst_us = nasty[pick++ % kNasty];
+    reply.from_cache = (round % 2) == 0;
+    reply.attempts = static_cast<int>(round) + 1;
+    const Result<serve::PredictReply> got =
+        serve::decode_predict_reply(serve::encode_predict_reply(reply));
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got->index, reply.index);
+    EXPECT_TRUE(same_bits(got->total_us, reply.total_us));
+    EXPECT_TRUE(same_bits(got->comp_us, reply.comp_us));
+    EXPECT_TRUE(same_bits(got->comm_us, reply.comm_us));
+    EXPECT_TRUE(same_bits(got->total_worst_us, reply.total_worst_us));
+    EXPECT_TRUE(same_bits(got->comm_worst_us, reply.comm_worst_us));
+    EXPECT_EQ(got->from_cache, reply.from_cache);
+    EXPECT_EQ(got->attempts, reply.attempts);
+  }
 }
 
 TEST(ServeWire, ErrorReplyCarriesCodeAndMultilineMessage) {
@@ -196,6 +235,7 @@ TEST(ServeWire, BatchRequestRoundTrips) {
     jobs[i].seed = static_cast<std::uint64_t>(i);
     jobs[i].program_text = sample_program(i + 1);
   }
+  jobs[1].handle = 11;
   const Result<std::vector<serve::PredictRequest>> back =
       serve::decode_batch_request(serve::encode_batch_request(jobs),
                                   serve::WireLimits{});
@@ -203,6 +243,7 @@ TEST(ServeWire, BatchRequestRoundTrips) {
   ASSERT_EQ(back->size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ((*back)[i].seed, static_cast<std::uint64_t>(i));
+    EXPECT_EQ((*back)[i].handle, jobs[i].handle);
     EXPECT_EQ((*back)[i].program_text, jobs[i].program_text);
   }
 }
@@ -317,8 +358,8 @@ TEST_F(ServeTest, PredictionIsBitIdenticalToDirectBatchPredictor) {
   const runtime::JobResult direct =
       direct_predict(req.program_text, req.params_text, req.seed);
   ASSERT_TRUE(direct.ok()) << direct.error();
-  // The serving contract: EXACT equality, not approximate.  The text wire
-  // format renders doubles with %.17g, which round-trips every value.
+  // The serving contract: EXACT equality, not approximate.  The wire sends
+  // doubles as raw IEEE-754 bits, and no HELLO is needed first.
   EXPECT_EQ(reply->total_us, direct.value().total().us());
   EXPECT_EQ(reply->comp_us, direct.value().comp().us());
   EXPECT_EQ(reply->comm_us, direct.value().comm().us());
@@ -606,152 +647,89 @@ TEST_F(ServeTest, StopAnswersNothingTwiceAndRestartsCleanly) {
   EXPECT_EQ(server_->connection_count(), 0u);
 }
 
-// --- protocol v2: negotiation, binary codec, handles (DESIGN.md §14) -----
+// --- HELLO, binary predictions, handles (DESIGN.md §14) -----------------
 
-/// Bit-exact double comparison: the v1 %.17g text path and the v2 raw-bits
-/// path must agree on the very last mantissa bit, not just "close".
-::testing::AssertionResult same_bits(double a, double b) {
-  std::uint64_t ba = 0;
-  std::uint64_t bb = 0;
-  std::memcpy(&ba, &a, sizeof a);
-  std::memcpy(&bb, &b, sizeof b);
-  if (ba == bb) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " and " << b << " differ in bits (" << std::hex << ba
-         << " vs " << bb << ")";
+/// Sends one raw HELLO offering `version` and returns the reply frame.
+serve::Frame raw_hello(serve::Client& client, std::uint32_t version) {
+  const std::uint64_t id = client.next_id();
+  EXPECT_TRUE(client
+                  .send(serve::Frame{serve::FrameKind::kHello, id,
+                                     serve::encode_hello_request(version)})
+                  .ok());
+  Result<serve::Frame> frame = client.receive();
+  EXPECT_TRUE(frame.ok()) << frame.status().to_string();
+  EXPECT_EQ(frame->id, id);
+  return std::move(frame).value();
 }
 
-TEST(ServeWire, TextAndBinaryCodecsRoundTripIdentically) {
-  std::vector<serve::PredictRequest> requests;
-  serve::PredictRequest req;
-  req.params_text = "L=9.25,o=2,g=13,G=0.03";
-  req.seed = 0xffffffffffffffffull;
-  req.deadline_ms = 123456789;
-  req.program_text = sample_program(3);
-  requests.push_back(req);
-  req = serve::PredictRequest{};
-  req.handle = 0x1234567890abcdefull;
-  req.program_text.clear();
-  requests.push_back(req);
-  req = serve::PredictRequest{};
-  req.program_text = "";  // degenerate but encodable
-  req.params_text = "";
-  requests.push_back(req);
-  for (const serve::PredictRequest& want : requests) {
-    for (const serve::Codec codec :
-         {serve::Codec::kText, serve::Codec::kBinary}) {
-      const Result<serve::PredictRequest> got = serve::decode_predict_request(
-          serve::encode_predict_request(want, codec), codec);
-      ASSERT_TRUE(got.ok()) << got.status().to_string();
-      EXPECT_EQ(got->params_text, want.params_text);
-      EXPECT_EQ(got->seed, want.seed);
-      EXPECT_EQ(got->deadline_ms, want.deadline_ms);
-      EXPECT_EQ(got->handle, want.handle);
-      EXPECT_EQ(got->program_text, want.program_text);
-    }
-  }
-
-  // Replies with awkward doubles: denormal-adjacent, ULP-separated pairs,
-  // huge magnitudes -- every one must survive BOTH codecs bit-for-bit.
-  const double nasty[] = {0.0,           1e-300,         1.0000000000000002,
-                          0.1,           3.0000000000000004,
-                          9.87654321e12, 825.16000000000008};
-  std::size_t pick = 0;
-  for (int round = 0; round < 7; ++round) {
-    serve::PredictReply reply;
-    reply.index = static_cast<std::uint64_t>(round);
-    reply.total_us = nasty[pick++ % 7];
-    reply.comp_us = nasty[pick++ % 7];
-    reply.comm_us = nasty[pick++ % 7];
-    reply.total_worst_us = nasty[pick++ % 7];
-    reply.comm_worst_us = nasty[pick++ % 7];
-    reply.from_cache = (round % 2) == 0;
-    reply.attempts = round + 1;
-    for (const serve::Codec codec :
-         {serve::Codec::kText, serve::Codec::kBinary}) {
-      const Result<serve::PredictReply> got = serve::decode_predict_reply(
-          serve::encode_predict_reply(reply, codec), codec);
-      ASSERT_TRUE(got.ok()) << got.status().to_string();
-      EXPECT_EQ(got->index, reply.index);
-      EXPECT_TRUE(same_bits(got->total_us, reply.total_us));
-      EXPECT_TRUE(same_bits(got->comp_us, reply.comp_us));
-      EXPECT_TRUE(same_bits(got->comm_us, reply.comm_us));
-      EXPECT_TRUE(same_bits(got->total_worst_us, reply.total_worst_us));
-      EXPECT_TRUE(same_bits(got->comm_worst_us, reply.comm_worst_us));
-      EXPECT_EQ(got->from_cache, reply.from_cache);
-      EXPECT_EQ(got->attempts, reply.attempts);
-    }
-  }
-
-  serve::ErrorReply err;
-  err.index = 2;
-  err.code = ErrorCode::kTimeout;
-  err.message = "first line\nsecond line";  // messages may contain newlines
-  for (const serve::Codec codec :
-       {serve::Codec::kText, serve::Codec::kBinary}) {
-    const Result<serve::ErrorReply> got = serve::decode_error_reply(
-        serve::encode_error_reply(err, codec), codec);
-    ASSERT_TRUE(got.ok()) << got.status().to_string();
-    EXPECT_EQ(got->index, err.index);
-    EXPECT_EQ(got->code, err.code);
-    EXPECT_EQ(got->message, err.message);
-  }
-}
-
-TEST_F(ServeTest, HelloNegotiatesBinaryAndClampsToServerMax) {
+TEST_F(ServeTest, HelloAcksProtocolVersionAndClampsNewerOffers) {
   start();
   serve::Client client = connect();
-  EXPECT_EQ(client.codec(), serve::Codec::kText);  // v1 until negotiated
-  ASSERT_TRUE(client.hello().ok());
   EXPECT_EQ(client.codec(), serve::Codec::kBinary);
-  EXPECT_EQ(client.protocol_version(), serve::kProtocolVersionMax);
+  EXPECT_TRUE(client.hello().ok());
+  const serve::Frame ack = raw_hello(client, serve::kProtocolVersion);
+  ASSERT_EQ(ack.kind, serve::FrameKind::kHelloAck);
+  EXPECT_EQ(serve::decode_hello_ack(ack.payload).value(),
+            serve::kProtocolVersion);
 
-  // Pinning the binary version is still honoured (and stays binary).
-  serve::Client v2 = connect();
-  ASSERT_TRUE(v2.hello(serve::kProtocolVersionBinary).ok());
-  EXPECT_EQ(v2.protocol_version(), serve::kProtocolVersionBinary);
-  EXPECT_EQ(v2.codec(), serve::Codec::kBinary);
-
-  // A client from the future: the server answers min(its max, ours).
+  // A client from the future is acked down to the server's version.
   serve::Client eager = connect();
-  ASSERT_TRUE(eager.hello(99).ok());
-  EXPECT_EQ(eager.protocol_version(), serve::kProtocolVersionMax);
-  EXPECT_EQ(eager.codec(), serve::Codec::kBinary);
+  const serve::Frame clamped = raw_hello(eager, 99);
+  ASSERT_EQ(clamped.kind, serve::FrameKind::kHelloAck);
+  EXPECT_EQ(serve::decode_hello_ack(clamped.payload).value(),
+            serve::kProtocolVersion);
+  EXPECT_TRUE(eager.ping().ok());
+  EXPECT_EQ(registry_.counter("serve.protocol_errors").value(), 0u);
+}
 
-  // A deliberately v1-pinned hello keeps the text codec.
-  serve::Client legacy = connect();
-  ASSERT_TRUE(legacy.hello(serve::kProtocolVersionText).ok());
-  EXPECT_EQ(legacy.codec(), serve::Codec::kText);
-  EXPECT_TRUE(legacy.ping().ok());
+TEST_F(ServeTest, HelloBelowProtocolVersionIsRejectedButConnectionServes) {
+  start();
+  serve::Client client = connect();
+  for (const std::uint32_t old : {1u, 2u}) {
+    const serve::Frame reply = raw_hello(client, old);
+    ASSERT_EQ(reply.kind, serve::FrameKind::kError) << "version " << old;
+    const Result<serve::ErrorReply> err =
+        serve::decode_error_reply(reply.payload);
+    ASSERT_TRUE(err.ok()) << err.status().to_string();
+    EXPECT_EQ(err->code, ErrorCode::kInvalidInput);
+  }
+  EXPECT_EQ(registry_.counter("serve.protocol_errors").value(), 2u);
+
+  // The refusal does not close the connection: it still serves PREDICT.
+  serve::PredictRequest req;
+  req.program_text = sample_program();
+  const Result<serve::PredictReply> reply = client.predict(req);
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  const runtime::JobResult direct =
+      direct_predict(req.program_text, req.params_text, req.seed);
+  ASSERT_TRUE(direct.ok()) << direct.error();
+  EXPECT_TRUE(same_bits(reply->total_us, direct.value().total().us()));
 }
 
 TEST_F(ServeTest, BinaryPredictionMatchesTextBitForBit) {
+  // A program uploaded as text and answered over the binary codec matches
+  // the in-process prediction of the same text on every bit.
   start();
   const std::string program = sample_program(4);
 
-  serve::Client text = connect();
+  serve::Client binary = connect();
   serve::PredictRequest req;
   req.program_text = program;
   req.seed = 7;
-  const Result<serve::PredictReply> via_text = text.predict(req);
-  ASSERT_TRUE(via_text.ok()) << via_text.status().to_string();
-
-  serve::Client binary = connect();
-  ASSERT_TRUE(binary.hello().ok());
   const Result<serve::PredictReply> via_binary = binary.predict(req);
   ASSERT_TRUE(via_binary.ok()) << via_binary.status().to_string();
-
-  EXPECT_TRUE(same_bits(via_binary->total_us, via_text->total_us));
-  EXPECT_TRUE(same_bits(via_binary->comp_us, via_text->comp_us));
-  EXPECT_TRUE(same_bits(via_binary->comm_us, via_text->comm_us));
-  EXPECT_TRUE(same_bits(via_binary->total_worst_us, via_text->total_worst_us));
-  EXPECT_TRUE(same_bits(via_binary->comm_worst_us, via_text->comm_worst_us));
 
   const runtime::JobResult direct = direct_predict(program, "meiko", 7);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(same_bits(via_binary->total_us, direct.value().total().us()));
+  EXPECT_TRUE(same_bits(via_binary->comp_us, direct.value().comp().us()));
+  EXPECT_TRUE(same_bits(via_binary->comm_us, direct.value().comm().us()));
+  EXPECT_TRUE(same_bits(via_binary->total_worst_us,
+                        direct.value().total_worst().us()));
+  EXPECT_TRUE(same_bits(via_binary->comm_worst_us,
+                        direct.value().comm_worst().us()));
 
-  // And a binary batch streams the same per-job results as the text path.
+  // And a batch streams the same per-job results as the direct path.
   std::vector<serve::PredictRequest> jobs(3);
   jobs[0].program_text = sample_program(5);
   jobs[1].program_text = "procs 0\n";  // invalid: per-job error
@@ -781,14 +759,14 @@ TEST_F(ServeTest, RegisteredHandlePredictsWithoutProgramUpload) {
   ASSERT_NE(handle.value(), 0u);
 
   // Registering identical text again dedups to the SAME handle -- and so
-  // does a second connection still speaking v1 text.
+  // does a second connection that never said HELLO.
   const Result<std::uint64_t> again = client.register_program(program);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), handle.value());
-  serve::Client v1 = connect();
-  const Result<std::uint64_t> via_text = v1.register_program(program);
-  ASSERT_TRUE(via_text.ok());
-  EXPECT_EQ(via_text.value(), handle.value());
+  serve::Client other = connect();
+  const Result<std::uint64_t> via_other = other.register_program(program);
+  ASSERT_TRUE(via_other.ok());
+  EXPECT_EQ(via_other.value(), handle.value());
 
   serve::PredictRequest req;
   req.handle = handle.value();
@@ -848,9 +826,10 @@ TEST_F(ServeTest, ReconnectAfterServerRestartRenegotiatesProtocol) {
   ASSERT_TRUE(server_->start().ok());
 
   ASSERT_TRUE(client.reconnect().ok());
-  // The v2 negotiation is replayed automatically...
-  EXPECT_EQ(client.codec(), serve::Codec::kBinary);
+  // The new connection speaks the codec at once; HELLO re-checks the
+  // fresh server's version...
   EXPECT_TRUE(client.ping().ok());
+  EXPECT_TRUE(client.hello().ok());
   // ...but handles do NOT survive a restart: the request must fail with a
   // clear re-register hint, never silently alias another program.
   const Result<serve::PredictReply> stale = client.predict(req);
@@ -893,7 +872,9 @@ TEST_F(ServeTest, ServerRestartMidBatchSurfacesTransportErrorThenRecovers) {
   for (int i = 0; i < 8 && transport.ok(); ++i) {
     const Result<serve::Frame> frame = client.receive();
     if (!frame.ok()) transport = frame.status();
-    if (transport.ok()) ASSERT_NE(frame->kind, serve::FrameKind::kBatchEnd);
+    if (transport.ok()) {
+      ASSERT_NE(frame->kind, serve::FrameKind::kBatchEnd);
+    }
   }
   ASSERT_FALSE(transport.ok());
 
@@ -1032,31 +1013,37 @@ TEST_F(ServeTest, SimThreadPoolPredictionsAreBitIdentical) {
                         direct.value().comm_worst().us()));
 }
 
-// --- protocol v3: the TOPOLOGY field (ISSUE 10) ---------------------------
+// --- the TOPOLOGY field --------------------------------------------------
 
 TEST(ServeWire, PredictRequestTopologyRoundTripsBothCodecs) {
+  // The topology field round-trips through both request envelopes: a
+  // single PREDICT and a job embedded in a BATCH.
   serve::PredictRequest req;
   req.params_text = "meiko";
   req.seed = 5;
   req.handle = 9;
   req.topology_text = "fattree:4,4/1,2;hop=2.5";
-  for (const serve::Codec codec : {serve::Codec::kText, serve::Codec::kBinary}) {
-    const std::string payload = serve::encode_predict_request(req, codec);
-    const Result<serve::PredictRequest> back =
-        serve::decode_predict_request(payload, codec);
-    ASSERT_TRUE(back.ok()) << back.status().to_string();
-    EXPECT_EQ(back->topology_text, req.topology_text);
-    EXPECT_EQ(back->handle, req.handle);
-  }
-  // Empty topology encodes to the pre-v3 payload byte-for-byte.
+  const Result<serve::PredictRequest> back =
+      serve::decode_predict_request(serve::encode_predict_request(req));
+  ASSERT_TRUE(back.ok()) << back.status().to_string();
+  EXPECT_EQ(back->topology_text, req.topology_text);
+  EXPECT_EQ(back->handle, req.handle);
+  const Result<std::vector<serve::PredictRequest>> batch =
+      serve::decode_batch_request(serve::encode_batch_request({req}),
+                                  serve::WireLimits{});
+  ASSERT_TRUE(batch.ok()) << batch.status().to_string();
+  ASSERT_EQ(batch->size(), 1u);
+  EXPECT_EQ((*batch)[0].topology_text, req.topology_text);
+  // An empty topology sets no flag bit and adds no bytes.
+  const std::string with = serve::encode_predict_request(req);
+  const std::size_t topology_bytes = req.topology_text.size();
   req.topology_text.clear();
-  for (const serve::Codec codec : {serve::Codec::kText, serve::Codec::kBinary}) {
-    const std::string payload = serve::encode_predict_request(req, codec);
-    const Result<serve::PredictRequest> back =
-        serve::decode_predict_request(payload, codec);
-    ASSERT_TRUE(back.ok());
-    EXPECT_TRUE(back->topology_text.empty());
-  }
+  const std::string without = serve::encode_predict_request(req);
+  EXPECT_EQ(with.size(), without.size() + 4 + topology_bytes);
+  const Result<serve::PredictRequest> flat =
+      serve::decode_predict_request(without);
+  ASSERT_TRUE(flat.ok());
+  EXPECT_TRUE(flat->topology_text.empty());
 }
 
 TEST(ServeWire, RegisterPayloadTopologyPrefixSplits) {
@@ -1072,20 +1059,27 @@ TEST(ServeWire, RegisterPayloadTopologyPrefixSplits) {
   EXPECT_EQ(plain.program_text, program);
 }
 
-TEST_F(ServeTest, TopologyRequiresNegotiatedV3) {
+TEST_F(ServeTest, TopologyPredictAndRegisterNeedNoHello) {
   start();
-  serve::Client client = connect();  // no hello(): still protocol v1
+  serve::Client client = connect();  // no hello(): none is needed
   serve::PredictRequest req;
   req.program_text = sample_program();
   req.topology_text = "torus:2x2";
   const Result<serve::PredictReply> reply = client.predict(req);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), ErrorCode::kInvalidInput);
-  // After hello() the same request is accepted.
-  ASSERT_TRUE(client.hello().ok());
-  ASSERT_EQ(client.protocol_version(), serve::kProtocolVersionTopology);
-  const Result<serve::PredictReply> ok = client.predict(req);
-  ASSERT_TRUE(ok.ok()) << ok.status().to_string();
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+
+  const Result<std::uint64_t> handle =
+      client.register_program(sample_program(), "torus:2x2");
+  ASSERT_TRUE(handle.ok()) << handle.status().to_string();
+  // The prefix was honoured: the torus entry is not the flat one.
+  const Result<std::uint64_t> flat = client.register_program(sample_program());
+  ASSERT_TRUE(flat.ok()) << flat.status().to_string();
+  EXPECT_NE(handle.value(), flat.value());
+  serve::PredictRequest by_handle;
+  by_handle.handle = handle.value();
+  const Result<serve::PredictReply> registered = client.predict(by_handle);
+  ASSERT_TRUE(registered.ok()) << registered.status().to_string();
+  EXPECT_TRUE(same_bits(registered->total_us, reply->total_us));
 }
 
 /// A 4-proc incast whose receiver computes afterwards, so topology delays

@@ -6,10 +6,11 @@
 //
 // Covered: frame headers (over-declared lengths, unknown kinds, sticky
 // assembler poisoning), mid-frame disconnects through read_frame on a
-// socketpair, every strict prefix of every v2 binary payload, trailing
-// bytes after valid v2 payloads, batch count/length attacks under both
-// codecs, v1<->v2 codec mixups, HELLO/REGISTERED envelope damage, and a
-// deterministic pseudo-random byte corpus through every decoder.
+// socketpair, every strict prefix of every binary payload, trailing
+// bytes after valid payloads, batch count/length attacks, the text
+// payloads of the retired protocol v1 (decoders and a live server),
+// HELLO/REGISTERED envelope damage, and a deterministic pseudo-random
+// byte corpus through every decoder.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -20,12 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
 
 namespace logsim {
 namespace {
 
-using serve::Codec;
 using serve::Frame;
 using serve::FrameAssembler;
 using serve::FrameKind;
@@ -173,7 +176,7 @@ TEST(WireCorrupt, CleanEofAtFrameBoundaryIsNotAnError) {
   EXPECT_FALSE(frame->has_value());  // clean EOF, not damage
 }
 
-// --- v2 truncation sweeps ------------------------------------------------
+// --- truncation sweeps --------------------------------------------------
 
 /// Every strict prefix of a valid payload must decode to a clean error.
 template <typename DecodeFn>
@@ -198,12 +201,10 @@ serve::PredictRequest sample_request(std::uint64_t handle) {
 TEST(WireCorrupt, TruncatedBinaryPredictRequestFailsCleanly) {
   for (const std::uint64_t handle : {std::uint64_t{0}, std::uint64_t{9}}) {
     const std::string payload =
-        serve::encode_predict_request(sample_request(handle), Codec::kBinary);
+        serve::encode_predict_request(sample_request(handle));
     expect_all_prefixes_fail(
         payload,
-        [](const std::string& p) {
-          return serve::decode_predict_request(p, Codec::kBinary);
-        },
+        [](const std::string& p) { return serve::decode_predict_request(p); },
         "predict request");
   }
 }
@@ -218,27 +219,23 @@ TEST(WireCorrupt, TruncatedBinaryPredictReplyFailsCleanly) {
   reply.comm_worst_us = 9.87654321e12;
   reply.from_cache = true;
   reply.attempts = 2;
-  const std::string payload =
-      serve::encode_predict_reply(reply, Codec::kBinary);
+  const std::string payload = serve::encode_predict_reply(reply);
   expect_all_prefixes_fail(
       payload,
-      [](const std::string& p) {
-        return serve::decode_predict_reply(p, Codec::kBinary);
-      },
+      [](const std::string& p) { return serve::decode_predict_reply(p); },
       "predict reply");
   // The reply is fixed-width: longer than canonical is damage too.
-  EXPECT_FALSE(
-      serve::decode_predict_reply(payload + '\0', Codec::kBinary).ok());
+  EXPECT_FALSE(serve::decode_predict_reply(payload + '\0').ok());
 }
 
 TEST(WireCorrupt, TruncatedBinaryBatchFailsCleanly) {
   const std::vector<serve::PredictRequest> jobs = {sample_request(0),
                                                    sample_request(5)};
-  const std::string payload = serve::encode_batch_request(jobs, Codec::kBinary);
+  const std::string payload = serve::encode_batch_request(jobs);
   expect_all_prefixes_fail(
       payload,
       [](const std::string& p) {
-        return serve::decode_batch_request(p, WireLimits{}, Codec::kBinary);
+        return serve::decode_batch_request(p, WireLimits{});
       },
       "batch request");
 }
@@ -248,12 +245,10 @@ TEST(WireCorrupt, TruncatedBinaryErrorReplyFailsCleanly) {
   reply.index = 1;
   reply.code = ErrorCode::kTransient;
   reply.message = "busy";
-  const std::string payload = serve::encode_error_reply(reply, Codec::kBinary);
+  const std::string payload = serve::encode_error_reply(reply);
   expect_all_prefixes_fail(
       payload,
-      [](const std::string& p) {
-        return serve::decode_error_reply(p, Codec::kBinary);
-      },
+      [](const std::string& p) { return serve::decode_error_reply(p); },
       "error reply");
 }
 
@@ -267,13 +262,10 @@ TEST(WireCorrupt, TruncatedHelloAndRegisteredFailCleanly) {
   expect_all_prefixes_fail(
       ack, [](const std::string& p) { return serve::decode_hello_ack(p); },
       "hello ack");
-  const std::string registered =
-      serve::encode_registered_reply(7, Codec::kBinary);
+  const std::string registered = serve::encode_registered_reply(7);
   expect_all_prefixes_fail(
       registered,
-      [](const std::string& p) {
-        return serve::decode_registered_reply(p, Codec::kBinary);
-      },
+      [](const std::string& p) { return serve::decode_registered_reply(p); },
       "registered reply");
 }
 
@@ -291,9 +283,10 @@ TEST(WireCorrupt, HelloEnvelopeDamageIsRejected) {
   EXPECT_FALSE(
       serve::decode_hello_request(serve::encode_hello_request(2) + "x").ok());
   EXPECT_FALSE(serve::decode_hello_ack(serve::encode_hello_ack(2) + "x").ok());
-  // Text REGISTERED with handle 0 (never issued) or junk.
-  EXPECT_FALSE(serve::decode_registered_reply("handle 0", Codec::kText).ok());
-  EXPECT_FALSE(serve::decode_registered_reply("nonsense", Codec::kText).ok());
+  // A REGISTERED reply is exactly one u64: the retired text form or a
+  // short or long payload is damage.
+  EXPECT_FALSE(serve::decode_registered_reply("handle 7\n").ok());
+  EXPECT_FALSE(serve::decode_registered_reply(std::string(9, '\0')).ok());
 }
 
 // --- batch count / length attacks ----------------------------------------
@@ -304,8 +297,7 @@ TEST(WireCorrupt, BinaryBatchCountOverflowIsRejected) {
   std::string payload;
   put_u32(payload, 0xffffffffu);
   payload += "12345678";
-  const auto r =
-      serve::decode_batch_request(payload, WireLimits{}, Codec::kBinary);
+  const auto r = serve::decode_batch_request(payload, WireLimits{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInvalidInput);
 }
@@ -316,73 +308,93 @@ TEST(WireCorrupt, BinaryBatchEmbeddedLengthOverrunIsRejected) {
   put_u32(payload, 1);
   put_u32(payload, 1 << 30);
   payload += "short";
-  const auto r =
-      serve::decode_batch_request(payload, WireLimits{}, Codec::kBinary);
+  const auto r = serve::decode_batch_request(payload, WireLimits{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInvalidInput);
 }
 
 TEST(WireCorrupt, TextBatchAttacksAreRejected) {
+  // The batch attacks of the retired text codec are still hostile bytes a
+  // peer can send; the binary decoder reads "jobs" as a huge count and
+  // must refuse before reserving for it.
   const WireLimits limits;
-  // Count far beyond the payload.
-  EXPECT_FALSE(
-      serve::decode_batch_request("jobs 4000000000\n", limits, Codec::kText)
-          .ok());
-  // Job length overrunning the payload.
-  EXPECT_FALSE(serve::decode_batch_request("jobs 1\njob 999\nshort", limits,
-                                           Codec::kText)
-                   .ok());
+  for (const char* payload : {"jobs 4000000000\n", "jobs 1\njob 999\nshort"}) {
+    const auto r = serve::decode_batch_request(payload, limits);
+    ASSERT_FALSE(r.ok()) << payload;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidInput);
+  }
 }
 
-// --- codec mixups --------------------------------------------------------
+// --- retired protocol v1 text payloads -----------------------------------
+
+/// A PREDICT payload exactly as a protocol v1 client rendered it.
+const char kV1PredictPayload[] =
+    "params meiko\n"
+    "seed 1\n"
+    "deadline_ms 0\n"
+    "program\n"
+    "procs 2\n"
+    "compute\n"
+    "item 0 0 1\n";
 
 TEST(WireCorrupt, TextPayloadDecodedAsBinaryFails) {
   // 'p' of "params" = flags 0x70: unknown flag bits, rejected immediately.
-  const std::string text = serve::encode_predict_request(sample_request(0));
-  EXPECT_FALSE(serve::decode_predict_request(text, Codec::kBinary).ok());
-  const std::string text_batch =
-      serve::encode_batch_request({sample_request(0)}, Codec::kText);
-  EXPECT_FALSE(
-      serve::decode_batch_request(text_batch, WireLimits{}, Codec::kBinary)
-          .ok());
+  const auto predict = serve::decode_predict_request(kV1PredictPayload);
+  ASSERT_FALSE(predict.ok());
+  EXPECT_EQ(predict.status().code(), ErrorCode::kInvalidInput);
+  const std::string body = kV1PredictPayload;
+  const std::string v1_batch =
+      "jobs 1\njob " + std::to_string(body.size()) + "\n" + body;
+  const auto batch = serve::decode_batch_request(v1_batch, WireLimits{});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), ErrorCode::kInvalidInput);
 }
 
-TEST(WireCorrupt, BinaryPayloadDecodedAsTextFails) {
-  const std::string binary =
-      serve::encode_predict_request(sample_request(0), Codec::kBinary);
-  EXPECT_FALSE(serve::decode_predict_request(binary, Codec::kText).ok());
-  const std::string binary_batch =
-      serve::encode_batch_request({sample_request(0)}, Codec::kBinary);
-  EXPECT_FALSE(
-      serve::decode_batch_request(binary_batch, WireLimits{}, Codec::kText)
-          .ok());
+TEST(WireCorrupt, V1TextPredictGetsErrorFrameFromLiveServer) {
+  // What a remaining v1 client now sees: an ERROR frame, not a crash or a
+  // hang, and the server counts a protocol error.
+  obs::metrics::Registry registry;
+  serve::Server::Config config;
+  config.port = 0;
+  config.metrics = &registry;
+  serve::Server server{config};
+  ASSERT_TRUE(server.start().ok());
+  Result<serve::Client> client =
+      serve::Client::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+  ASSERT_TRUE(
+      client->send(Frame{FrameKind::kPredict, 5, kV1PredictPayload}).ok());
+  const Result<Frame> reply = client->receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+  EXPECT_EQ(reply->kind, FrameKind::kError);
+  EXPECT_EQ(reply->id, 5u);
+  const auto err = serve::decode_error_reply(reply->payload);
+  ASSERT_TRUE(err.ok()) << err.status().to_string();
+  EXPECT_EQ(err->code, ErrorCode::kInvalidInput);
+  EXPECT_EQ(registry.counter("serve.protocol_errors").value(), 1u);
+  server.stop();
 }
 
 TEST(WireCorrupt, TrailingBytesAfterBinaryPayloadAreRejected) {
-  // A v2 decoder that silently ignores trailing bytes would mask exactly
-  // the codec mixups the version handshake exists to prevent.
-  const std::string req =
-      serve::encode_predict_request(sample_request(3), Codec::kBinary);
-  EXPECT_FALSE(serve::decode_predict_request(req + "x", Codec::kBinary).ok());
-  const std::string batch =
-      serve::encode_batch_request({sample_request(0)}, Codec::kBinary);
-  EXPECT_FALSE(
-      serve::decode_batch_request(batch + "x", WireLimits{}, Codec::kBinary)
-          .ok());
+  // A decoder that silently ignores trailing bytes would accept payloads
+  // of some other encoding that happen to start like a valid one.
+  const std::string req = serve::encode_predict_request(sample_request(3));
+  EXPECT_FALSE(serve::decode_predict_request(req + "x").ok());
+  const std::string batch = serve::encode_batch_request({sample_request(0)});
+  EXPECT_FALSE(serve::decode_batch_request(batch + "x", WireLimits{}).ok());
   serve::ErrorReply err;
   err.code = ErrorCode::kInternal;
-  const std::string err_payload = serve::encode_error_reply(err, Codec::kBinary);
-  EXPECT_FALSE(
-      serve::decode_error_reply(err_payload + "x", Codec::kBinary).ok());
+  const std::string err_payload = serve::encode_error_reply(err);
+  EXPECT_FALSE(serve::decode_error_reply(err_payload + "x").ok());
 }
 
 // --- deterministic pseudo-random corpus ----------------------------------
 
 TEST(WireCorrupt, RandomByteCorpusNeverCrashesAnyDecoder) {
-  // splitmix64-driven garbage of assorted sizes through every decoder
-  // under both codecs.  The assertions are implicit: no crash, no hang,
-  // no sanitizer report; whatever decodes "successfully" must at least
-  // round-trip its own re-encoding without throwing.
+  // splitmix64-driven garbage of assorted sizes through every decoder.
+  // The assertions are implicit: no crash, no hang, no sanitizer report;
+  // whatever decodes "successfully" must at least round-trip its own
+  // re-encoding without throwing.
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   const auto next = [&state]() {
     state += 0x9e3779b97f4a7c15ull;
@@ -399,13 +411,11 @@ TEST(WireCorrupt, RandomByteCorpusNeverCrashesAnyDecoder) {
       while (bytes.size() < size) {
         bytes.push_back(static_cast<char>(next() & 0xff));
       }
-      for (const Codec codec : {Codec::kText, Codec::kBinary}) {
-        (void)serve::decode_predict_request(bytes, codec);
-        (void)serve::decode_batch_request(bytes, limits, codec);
-        (void)serve::decode_predict_reply(bytes, codec);
-        (void)serve::decode_error_reply(bytes, codec);
-        (void)serve::decode_registered_reply(bytes, codec);
-      }
+      (void)serve::decode_predict_request(bytes);
+      (void)serve::decode_batch_request(bytes, limits);
+      (void)serve::decode_predict_reply(bytes);
+      (void)serve::decode_error_reply(bytes);
+      (void)serve::decode_registered_reply(bytes);
       (void)serve::decode_hello_request(bytes);
       (void)serve::decode_hello_ack(bytes);
       FrameAssembler assembler{limits};

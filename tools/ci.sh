@@ -49,10 +49,9 @@ echo "==> [headers] all public headers self-sufficient"
 # Serve smoke: start the daemon on an ephemeral port -- with two epoll
 # reactors, a simulation pool and a coalescing window, so the DESIGN.md
 # §14 paths are live -- then run one scripted client session (ping,
-# predict, batch, stats), a protocol-v2 pass (--binary predict must print
-# the same numbers as the v1 text predict), a registered-handle pass
-# (register, predict --handle, again the same numbers), and finally
-# assert a clean SIGTERM shutdown.  Exercises the real binaries end to
+# predict, batch, stats), a registered-handle pass (register, predict
+# --handle: the same numbers as the uploaded predict), and finally assert
+# a clean SIGTERM shutdown.  Exercises the real binaries end to
 # end where serve_test covers the library in-process.
 echo "==> [serve] smoke: logsimd + logsim_client round trip"
 serve_dir="$prefix-default"
@@ -107,34 +106,26 @@ client="$serve_dir/tools/logsim_client"
   echo "==> [serve] stats verb missing serve.requests" >&2
   exit 1
 }
-# Protocol v2: the binary codec must produce byte-identical prediction
-# lines (the %.17g rendering and the raw-bits path agree exactly).
-text_pred=$("$client" --server "127.0.0.1:$port" predict "$smoke_tmp/prog.txt")
-bin_pred=$("$client" --server "127.0.0.1:$port" --binary predict \
+upload_pred=$("$client" --server "127.0.0.1:$port" predict \
   "$smoke_tmp/prog.txt")
-[ "$text_pred" = "$bin_pred" ] || {
-  echo "==> [serve] v1/v2 predictions differ:" >&2
-  printf '    v1: %s\n    v2: %s\n' "$text_pred" "$bin_pred" >&2
-  exit 1
-}
 # Registered handles: REGISTER once, predict by handle, same numbers
 # again (the label before ':' differs by design; compare the payload).
-handle=$("$client" --server "127.0.0.1:$port" --binary register \
+handle=$("$client" --server "127.0.0.1:$port" register \
   "$smoke_tmp/prog.txt" | sed 's/.*handle //')
 [ -n "$handle" ] || {
   echo "==> [serve] register printed no handle" >&2
   exit 1
 }
 # First handle predict fills the per-program memo ("simulated"); the
-# second is the steady-state hot path and must match the cached text
+# second is the steady-state hot path and must match the cached upload
 # prediction word for word.
-"$client" --server "127.0.0.1:$port" --binary predict \
+"$client" --server "127.0.0.1:$port" predict \
   --handle "$handle" > /dev/null
-reg_pred=$("$client" --server "127.0.0.1:$port" --binary predict \
+reg_pred=$("$client" --server "127.0.0.1:$port" predict \
   --handle "$handle")
-[ "${text_pred#*:}" = "${reg_pred#*:}" ] || {
-  echo "==> [serve] handle prediction differs from text prediction:" >&2
-  printf '    text:   %s\n    handle: %s\n' "$text_pred" "$reg_pred" >&2
+[ "${upload_pred#*:}" = "${reg_pred#*:}" ] || {
+  echo "==> [serve] handle prediction differs from uploaded prediction:" >&2
+  printf '    upload: %s\n    handle: %s\n' "$upload_pred" "$reg_pred" >&2
   exit 1
 }
 "$client" --server "127.0.0.1:$port" stats | grep -q "serve.registered" || {
@@ -142,10 +133,11 @@ reg_pred=$("$client" --server "127.0.0.1:$port" --binary predict \
   exit 1
 }
 # Topology smoke: the same incast program predicted flat, then over a
-# torus and a fat-tree, locally and through the daemon (protocol v3's
-# TOPOLOGY field).  The receiver computes after the incast, so the
-# shaped totals must come out strictly larger than the flat one; local
-# and remote paths must agree bit for bit; a bogus spec must be refused.
+# torus and a fat-tree, locally and through the daemon (the PREDICT
+# request's topology field).  The receiver computes after the incast, so
+# the shaped totals must come out strictly larger than the flat one; on
+# every network, flat included, the daemon's reply must print exactly the
+# in-process prediction; a bogus spec must be refused.
 echo "==> [topology] smoke: logsim_cli --topology local + remote"
 cli="$serve_dir/tools/logsim_cli"
 cat > "$smoke_tmp/hot.txt" <<'EOF'
@@ -178,12 +170,14 @@ awk -v f="$flat_us" -v t="$torus_us" -v ft="$fattree_us" \
     "flat=$flat_us torus=$torus_us fattree=$fattree_us" >&2
   exit 1
 }
-for spec in torus:2x2 fattree:2,2/1,1; do
-  local_pred=$("$cli" predict "$smoke_tmp/hot.txt" --topology "$spec" \
-    | topo_total)
-  remote_pred=$("$cli" predict "$smoke_tmp/hot.txt" --topology "$spec" \
+for spec in flat torus:2x2 fattree:2,2/1,1; do
+  # The flat network is the default: no --topology flag at all.
+  set --
+  [ "$spec" = flat ] || set -- --topology "$spec"
+  local_pred=$("$cli" predict "$smoke_tmp/hot.txt" "$@" | topo_total)
+  remote_pred=$("$cli" predict "$smoke_tmp/hot.txt" "$@" \
     --server "127.0.0.1:$port" | topo_total)
-  [ "$local_pred" = "$remote_pred" ] || {
+  [ -n "$local_pred" ] && [ "$local_pred" = "$remote_pred" ] || {
     echo "==> [topology] local/remote disagree on $spec:" \
       "local=$local_pred remote=$remote_pred" >&2
     exit 1
@@ -227,12 +221,12 @@ fi
 # schema-valid BENCH_perf.json, and -- when a baseline has been checked in
 # under bench/baselines/ -- stay within 25% of it on every benchmark.
 # serve_throughput then merges its serve_* rows into the same file
-# (schema v4, --binary --register so the protocol-v2 registered-handle
-# phase is measured): throughput rows go through the same 25% gate;
+# (schema v4, --register so the registered-handle phase is measured): throughput rows go through the same 25% gate;
 # latency p50/p99 rows gate lower-is-better at a wide allowance (tails
 # jitter, the gate catches order-of-magnitude blowups); and --check
 # asserts the acceptance bars (warm served within 2x of the direct
-# in-process reference, registered hot path >= 5x the v1 text warm row).
+# in-process reference, registered hot path >= 5x the full-upload warm
+# row).
 # The harness is built with tracing compiled in; LOGSIM_TRACE is unset so
 # the gate asserts the compiled-in-but-disabled overhead stays in budget.
 # Skippable for quick local iterations with LOGSIM_CI_SKIP_PERF=1.
@@ -250,14 +244,14 @@ if [ "${LOGSIM_CI_SKIP_PERF:-0}" != "1" ]; then
     env -u LOGSIM_TRACE "$perf_dir/bench/perf_regression" --quick \
       --out "$perf_json" --baseline "$baseline" --max-regress 0.25
     env -u LOGSIM_TRACE "$perf_dir/bench/serve_throughput" --quick --check \
-      --binary --register --merge "$perf_json" --baseline "$baseline" \
+      --register --merge "$perf_json" --baseline "$baseline" \
       --max-regress 0.25
   else
     echo "==> [perf] no baseline at $baseline; running ungated"
     env -u LOGSIM_TRACE "$perf_dir/bench/perf_regression" --quick \
       --out "$perf_json"
     env -u LOGSIM_TRACE "$perf_dir/bench/serve_throughput" --quick --check \
-      --binary --register --merge "$perf_json"
+      --register --merge "$perf_json"
   fi
   grep -q '"schema": "logsim-perf-v4"' "$perf_json" || {
     echo "==> [perf] BENCH_perf.json failed schema check" >&2

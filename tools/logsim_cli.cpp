@@ -13,12 +13,12 @@
 //       Predict a whole step program serialized in the program text
 //       format (see src/io/program_io.hpp).  With --server the program
 //       is sent to a running logsimd instead of simulated in-process;
-//       the daemon's text codecs round-trip doubles exactly, so the
-//       numbers match the local path bit for bit (modulo its shared
-//       caches serving hits).  --topology routes every message over a
-//       network shape ("torus:4x4", "fattree:4,4/1,2", "mesh:2x8;hop=3";
-//       see src/io/topology_io.hpp) instead of the flat LogGP network;
-//       remotely it rides the protocol-v3 TOPOLOGY field.
+//       the wire carries doubles as raw IEEE-754 bits, so the numbers
+//       match the local path bit for bit (modulo its shared caches
+//       serving hits).  --topology routes every message over a network
+//       shape ("torus:4x4", "fattree:4,4/1,2", "mesh:2x8;hop=3"; see
+//       src/io/topology_io.hpp) instead of the flat LogGP network;
+//       remotely it rides the PREDICT request's topology field.
 //
 //   logsim_cli fit [--params STR]
 //       Demonstrate LogGP parameter recovery against the built-in
@@ -292,8 +292,8 @@ int cmd_predict_ge(const Flags& flags) {
 }
 
 /// predict via a running logsimd: ship the program text over the wire and
-/// render the reply in the local format.  The wire's %.17g codecs make the
-/// numbers bit-identical to an in-process prediction.
+/// render the reply in the local format.  The wire sends doubles as raw
+/// bits, so the numbers are bit-identical to an in-process prediction.
 int cmd_predict_remote(const Flags& flags) {
   const std::size_t colon = flags.server.rfind(':');
   if (colon == std::string::npos || colon + 1 >= flags.server.size()) {
@@ -320,14 +320,7 @@ int cmd_predict_remote(const Flags& flags) {
   req.params_text = flags.params_text;
   req.seed = flags.seed;
   req.program_text = program_text.str();
-  if (!flags.topology.empty()) {
-    // The TOPOLOGY field needs protocol v3; negotiate before sending.
-    if (Status st = client.hello(); !st.ok()) {
-      report(flags.server, st);
-      return 1;
-    }
-    req.topology_text = flags.topology;
-  }
+  req.topology_text = flags.topology;
   const Result<serve::PredictReply> reply = client.predict(req);
   if (!reply.ok()) {
     report(flags.server, reply.status());

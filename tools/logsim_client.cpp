@@ -14,9 +14,9 @@
 // file as one BATCH frame and prints the streamed per-job results in job
 // order.  register interns each file server-side and prints its handle;
 // predict --handle N then skips the program upload entirely.  stats dumps
-// the server's metrics + span snapshot.  --binary negotiates protocol v2
-// (HELLO) before the command, so payloads travel as fixed-width binary
-// instead of text.  Exit code 0 only when every job succeeded.
+// the server's metrics + span snapshot.  Payloads travel in the wire's
+// binary codec, doubles as raw IEEE-754 bits.  Exit code 0 only when every
+// job succeeded.
 
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +39,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint64_t deadline_ms = 0;
   std::uint64_t handle = 0;
-  bool binary = false;
   std::string command;
   std::vector<std::string> files;
 };
@@ -48,7 +47,7 @@ void usage() {
   std::cerr << "usage: logsim_client --server HOST:PORT "
                "ping|stats|register <file>...|predict <file>|batch <file>...\n"
                "       [--params STR] [--seed N] [--deadline-ms N]\n"
-               "       [--binary] [--handle N]\n";
+               "       [--handle N]\n";
 }
 
 bool parse_server(const std::string& text, Options* opts) {
@@ -101,8 +100,6 @@ int main(int argc, char** argv) {
       opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--handle" && i + 1 < argc) {
       opts.handle = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--binary") {
-      opts.binary = true;
     } else if (opts.command.empty()) {
       opts.command = arg;
     } else {
@@ -120,16 +117,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   serve::Client client = std::move(connected).value();
-  if (opts.binary) {
-    if (const Status st = client.hello(); !st.ok()) {
-      std::cerr << "logsim_client: HELLO: " << st.to_string() << '\n';
-      return 1;
-    }
-    if (client.codec() != serve::Codec::kBinary) {
-      std::cerr << "logsim_client: server only speaks protocol v"
-                << client.protocol_version() << "; continuing in text mode\n";
-    }
-  }
 
   if (opts.command == "ping") {
     if (const Status st = client.ping(); !st.ok()) {
