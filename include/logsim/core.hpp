@@ -19,7 +19,6 @@
 #include "des/simulator.hpp"        // IWYU pragma: export
 #include "loggp/cost.hpp"           // IWYU pragma: export
 #include "loggp/params.hpp"         // IWYU pragma: export
-#include "loggp/topology.hpp"       // IWYU pragma: export  (deprecated shim)
 #include "network/network_model.hpp"   // IWYU pragma: export
 #include "network/topology_spec.hpp"   // IWYU pragma: export
 #include "pattern/builders.hpp"     // IWYU pragma: export

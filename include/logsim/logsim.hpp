@@ -21,7 +21,7 @@
 //                          Predictor
 //   <logsim/fault.hpp>     Status/Result, cancellation, retry, failpoints
 //   <logsim/obs.hpp>       tracing, profiling, metrics, trace exporters
-//   <logsim/runtime.hpp>   BatchPredictor, caches, checkpointing, pool
+//   <logsim/runtime.hpp>   BatchPredictor, caches, pool
 //   <logsim/programs.hpp>  GE / Cannon / stencil / trisolve builders,
 //                          layouts, op models, frontend, transforms
 //   <logsim/analysis.hpp>  trace analysis, bounds, fitting, search,

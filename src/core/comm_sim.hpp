@@ -53,13 +53,12 @@ struct CommSimOptions {
   /// step_delays() is evaluated once per run into scratch and added to
   /// every message's arrival time (hop latency + bandwidth sharing).
   const network::NetworkModel* net = nullptr;
-  /// DEPRECATED (kept as a shim for one release): the old per-message
-  /// latency hook that loggp::topology_latency() targeted -- topology
-  /// costs now come from `net` above.  Still honoured, added AFTER the
-  /// NetworkModel delay; the Testbed machine still uses it for its
-  /// real-network jitter draws (which must happen at send-commit time, in
-  /// schedule order, so a precomputed vector cannot replace them).
-  /// Must return >= 0.
+  /// The Testbed's latency-jitter hook: extra latency for one message,
+  /// added AFTER the NetworkModel delay.  It is called at send-commit
+  /// time, in schedule order, which is when the Testbed draws its
+  /// real-network jitter -- a vector computed in advance would change the
+  /// draw order and so every Testbed number.  Topology costs belong in
+  /// `net` above.  Must return >= 0.
   std::function<Time(std::size_t msg_index)> extra_latency;
 };
 

@@ -51,16 +51,12 @@ struct BatchPredictor::BatchState {
   std::vector<PredictJob> jobs;  // copied: outlives an abandoned caller frame
   std::vector<JobResult> results;
   std::vector<char> done;
-  std::vector<std::uint64_t> keys;  // canonical FNV-1a hash per job
-  std::vector<char> keyed;          // key valid (non-null inputs, no closure)
+  std::vector<std::optional<std::uint64_t>> keys;  // cache_key() per job
 
   std::mutex mu;
   std::condition_variable done_cv;
   std::size_t remaining = 0;
   bool abandoned = false;  // watchdog fired; unstarted tasks bail out
-
-  Checkpoint checkpoint;
-  std::size_t completed_since_write = 0;
 };
 
 BatchPredictor::BatchPredictor(Config config)
@@ -76,14 +72,9 @@ BatchPredictor::BatchPredictor(Config config)
       timeouts_(metrics_->counter("batch.timeouts")),
       cancelled_(metrics_->counter("batch.cancelled")),
       watchdog_expiries_(metrics_->counter("batch.watchdog_expiries")),
-      checkpoint_hits_(metrics_->counter("checkpoint.hits")),
-      checkpoint_writes_(metrics_->counter("checkpoint.writes")),
-      checkpoint_write_errors_(metrics_->counter("checkpoint.write_errors")),
-      checkpoint_load_errors_(metrics_->counter("checkpoint.load_errors")),
       job_wall_us_(metrics_->histogram("batch.job_wall", "us")),
       queue_wait_us_(metrics_->histogram("batch.queue_wait", "us")),
       pool_(resolve_threads(config.threads)) {
-  if (config_.checkpoint_every == 0) config_.checkpoint_every = 1;
   // The per-batch fields are injected per job; a caller-set value here
   // would silently leak into predict_one, so normalize them away.
   sim_.cancel = fault::CancelToken{};
@@ -102,8 +93,6 @@ std::vector<JobResult> BatchPredictor::predict_all(
   state->jobs = jobs;
   state->results.resize(jobs.size());
   state->done.assign(jobs.size(), 0);
-  state->keys.assign(jobs.size(), 0);
-  state->keyed.assign(jobs.size(), 0);
   state->remaining = jobs.size();
 
   const auto batch_deadline =
@@ -111,54 +100,12 @@ std::vector<JobResult> BatchPredictor::predict_all(
           ? std::chrono::steady_clock::now() + config_.batch_deadline
           : kNoDeadline;
 
-  const bool checkpointing = !config_.checkpoint_path.empty();
-
-  // Hash every well-formed closure-free job once; the key serves the
-  // checkpoint probe, the cache lookup and the miss-path insert.  With no
-  // consumer the walk is pure overhead (it visits every work item of every
-  // program), so skip it.
-  if (cache_ != nullptr || checkpointing) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const PredictJob& job = jobs[i];
-      if (job.program != nullptr && job.costs != nullptr &&
-          !job.bypass_cache && !sim_.compute_overhead &&
-          job.sim_trace == nullptr &&
-          flat_net(job.net != nullptr ? job.net : sim_.net)) {
-        const std::uint64_t program_hash =
-            job.program_hash.has_value()
-                ? *job.program_hash
-                : prediction_program_hash(*job.program, *job.costs);
-        state->keys[i] = prediction_key_hash(program_hash, job.params,
-                                             job.seed.value_or(sim_.seed));
-        state->keyed[i] = 1;
-      }
-    }
-  }
-  if (checkpointing) {
-    Result<Checkpoint> loaded = Checkpoint::load_or_empty(config_.checkpoint_path);
-    if (loaded.ok()) {
-      state->checkpoint = std::move(loaded).value();
-    } else {
-      // Corrupt checkpoint: count it and start fresh -- resuming wrong
-      // data would be worse than redoing work.
-      checkpoint_load_errors_.add();
-    }
-  }
+  // Hash every job once, here on the calling thread; the key serves both
+  // the cache lookup and the miss-path insert.
+  state->keys.reserve(jobs.size());
+  for (const PredictJob& job : jobs) state->keys.push_back(cache_key(job));
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Checkpoint hits resolve on the calling thread: free, deterministic,
-    // and they never enter the pool queue.
-    if (checkpointing && state->keyed[i]) {
-      if (const core::Prediction* hit = state->checkpoint.find(state->keys[i])) {
-        state->results[i].prediction = *hit;
-        state->results[i].from_checkpoint = true;
-        checkpoint_hits_.add();
-        jobs_run_.add();
-        --state->remaining;
-        state->done[i] = 1;
-        continue;
-      }
-    }
     pool_.submit([this, state, cancel, batch_deadline,
                   i](std::chrono::steady_clock::duration queue_wait) {
       queue_wait_us_.record(to_us(queue_wait));
@@ -187,8 +134,8 @@ std::vector<JobResult> BatchPredictor::predict_all(
         cancelled_.add();
         job_errors_.add();
       } else {
-        result = run_job(state->jobs[i], cancel, batch_deadline,
-                         state->keys[i], state->keyed[i] != 0, i);
+        result =
+            run_job(state->jobs[i], cancel, batch_deadline, state->keys[i], i);
       }
       finish_job(state, i, std::move(result));
     });
@@ -198,9 +145,7 @@ std::vector<JobResult> BatchPredictor::predict_all(
   {
     std::unique_lock lock{state->mu};
     auto batch_done = [&state] { return state->remaining == 0; };
-    if (state->remaining == 0) {
-      // Every job was a checkpoint hit; nothing was submitted.
-    } else if (batch_deadline == kNoDeadline) {
+    if (batch_deadline == kNoDeadline) {
       state->done_cv.wait(lock, batch_done);
     } else if (!state->done_cv.wait_until(lock, batch_deadline, batch_done)) {
       // Watchdog: the deadline passed with jobs outstanding.  Cooperative
@@ -224,15 +169,6 @@ std::vector<JobResult> BatchPredictor::predict_all(
       }
     }
     out = state->results;
-    // Final persist under the same lock that guards the checkpoint.
-    if (checkpointing && !state->checkpoint.empty()) {
-      if (Status st = state->checkpoint.write_atomic(config_.checkpoint_path);
-          st.ok()) {
-        checkpoint_writes_.add();
-      } else {
-        checkpoint_write_errors_.add();
-      }
-    }
   }
 
   publish_cache_gauges();
@@ -241,30 +177,33 @@ std::vector<JobResult> BatchPredictor::predict_all(
 
 JobResult BatchPredictor::predict_one(const PredictJob& job,
                                       bool publish_gauges) {
-  std::uint64_t key = 0;
-  bool keyed = false;
-  if (cache_ != nullptr && job.program != nullptr && job.costs != nullptr &&
-      !job.bypass_cache && !sim_.compute_overhead &&
-      job.sim_trace == nullptr &&
-      flat_net(job.net != nullptr ? job.net : sim_.net)) {
-    const std::uint64_t program_hash =
-        job.program_hash.has_value()
-            ? *job.program_hash
-            : prediction_program_hash(*job.program, *job.costs);
-    key = prediction_key_hash(program_hash, job.params,
-                              job.seed.value_or(sim_.seed));
-    keyed = true;
-  }
-  JobResult result =
-      run_job(job, fault::CancelToken{}, kNoDeadline, key, keyed, obs::kNoId);
+  JobResult result = run_job(job, fault::CancelToken{}, kNoDeadline,
+                             cache_key(job), obs::kNoId);
   if (publish_gauges) publish_cache_gauges();
   return result;
 }
 
+std::optional<std::uint64_t> BatchPredictor::cache_key(
+    const PredictJob& job) const {
+  // Without a cache the key has no consumer, and computing it walks every
+  // work item of the program.
+  if (cache_ == nullptr || job.program == nullptr || job.costs == nullptr ||
+      job.bypass_cache || sim_.compute_overhead || job.sim_trace != nullptr ||
+      !flat_net(job.net != nullptr ? job.net : sim_.net)) {
+    return std::nullopt;
+  }
+  const std::uint64_t program_hash =
+      job.program_hash.has_value()
+          ? *job.program_hash
+          : prediction_program_hash(*job.program, *job.costs);
+  return prediction_key_hash(program_hash, job.params,
+                             job.seed.value_or(sim_.seed));
+}
+
 JobResult BatchPredictor::run_job(
     const PredictJob& job, const fault::CancelToken& cancel,
-    std::chrono::steady_clock::time_point batch_deadline, std::uint64_t key,
-    bool keyed, std::uint64_t trace_id) {
+    std::chrono::steady_clock::time_point batch_deadline,
+    std::optional<std::uint64_t> key, std::uint64_t trace_id) {
   obs::TraceSession& tracer = obs::TraceSession::global();
   obs::Span job_span{tracer, "batch.job", "batch", trace_id};
   const auto start = std::chrono::steady_clock::now();
@@ -283,7 +222,7 @@ JobResult BatchPredictor::run_job(
 
   // Backoff jitter stream: deterministic per (seed, job), so reruns of a
   // faulty batch reproduce the exact same delay schedule.
-  util::Rng backoff_rng{sim_.seed ^ key ^ 0x9e3779b97f4a7c15ULL};
+  util::Rng backoff_rng{sim_.seed ^ key.value_or(0) ^ 0x9e3779b97f4a7c15ULL};
 
   JobResult result;
   int attempt = 0;
@@ -291,7 +230,7 @@ JobResult BatchPredictor::run_job(
     ++attempt;
     result.prediction.reset();
     result.from_cache = false;
-    Status st = run_attempt(job, effective_cancel, deadline, key, keyed, &result);
+    Status st = run_attempt(job, effective_cancel, deadline, key, &result);
     result.attempts = attempt;
     result.status = st;
     if (st.ok()) {
@@ -332,8 +271,8 @@ JobResult BatchPredictor::run_job(
 
 Status BatchPredictor::run_attempt(
     const PredictJob& job, const fault::CancelToken& cancel,
-    std::chrono::steady_clock::time_point deadline, std::uint64_t key,
-    bool keyed, JobResult* result) {
+    std::chrono::steady_clock::time_point deadline,
+    std::optional<std::uint64_t> key, JobResult* result) {
   try {
     if (job.program == nullptr || job.costs == nullptr) {
       return Status::invalid_input(
@@ -343,13 +282,10 @@ Status BatchPredictor::run_attempt(
     if (Status st = fault::failpoint("batch.job"); !st.ok()) {
       return st.with_context("while running a prediction job");
     }
-    // A compute_overhead closure is opaque to the canonical hash, so such
-    // jobs must not share cache entries with closure-free ones.
     const std::uint64_t seed = job.seed.value_or(sim_.seed);
-    const bool cacheable = cache_ != nullptr && keyed;
-    if (cacheable) {
-      if (auto hit =
-              cache_->lookup(key, *job.program, *job.costs, job.params, seed)) {
+    if (key.has_value()) {
+      if (auto hit = cache_->lookup(*key, *job.program, *job.costs,
+                                    job.params, seed)) {
         result->prediction = std::move(hit);
         result->from_cache = true;
         return Status{};
@@ -366,8 +302,8 @@ Status BatchPredictor::run_attempt(
         predictor.predict(*job.program, *job.costs);
     if (!prediction.ok()) return prediction.status();
     result->prediction = std::move(prediction).value();
-    if (cacheable) {
-      cache_->insert(key, *job.program, *job.costs, job.params, seed,
+    if (key.has_value()) {
+      cache_->insert(*key, *job.program, *job.costs, job.params, seed,
                      *result->prediction);
     }
     return Status{};
@@ -382,23 +318,7 @@ Status BatchPredictor::run_attempt(
 
 void BatchPredictor::finish_job(const std::shared_ptr<BatchState>& state,
                                 std::size_t index, JobResult result) {
-  const bool checkpointing = !config_.checkpoint_path.empty();
   std::lock_guard lock{state->mu};
-  if (checkpointing && result.ok() && state->keyed[index]) {
-    state->checkpoint.put(state->keys[index], *result.prediction);
-    if (++state->completed_since_write >= config_.checkpoint_every) {
-      state->completed_since_write = 0;
-      // Persist under the state lock: serializes workers briefly, but a
-      // checkpoint interval below every-job makes that rare, and it keeps
-      // file writes strictly ordered.
-      if (Status st = state->checkpoint.write_atomic(config_.checkpoint_path);
-          st.ok()) {
-        checkpoint_writes_.add();
-      } else {
-        checkpoint_write_errors_.add();
-      }
-    }
-  }
   state->results[index] = std::move(result);
   state->done[index] = 1;
   if (--state->remaining == 0) state->done_cv.notify_all();

@@ -1,5 +1,5 @@
 #pragma once
-// Parallel batch evaluation of the predictor, hardened for long sweeps.
+// Parallel batch evaluation of the predictor, hardened against faults.
 //
 // A BatchPredictor owns a ThreadPool and fans a vector of independent
 // PredictJobs out across it.  Results come back in input order, each as a
@@ -21,17 +21,12 @@
 //     marks the unfinished jobs kTimeout and returns instead of blocking
 //     forever.  Jobs borrow their program/costs, so when the watchdog
 //     fires keep those inputs alive until the pool drains (wait_idle or
-//     destruction) -- a wedged worker may still be reading them;
-//   * crash-safe checkpointing: finished predictions are recorded under
-//     their canonical FNV-1a key and atomically persisted every
-//     checkpoint_every completions; a rerun of the same batch resumes
-//     from the checkpoint bit-identically.  A corrupt checkpoint counts
-//     checkpoint.load_errors and the batch starts fresh.
+//     destruction) -- a wedged worker may still be reading them.
 //
 // An optional PredictionCache memoizes (program, params, seed) triples
 // across batches; hits skip the simulation entirely.  All of the above
 // feed the metrics Registry (jobs run, errors, retries, timeouts,
-// cancellations, watchdog expiries, checkpoint traffic, wall/queue times).
+// cancellations, watchdog expiries, wall/queue times).
 
 #include <chrono>
 #include <cstdint>
@@ -46,7 +41,6 @@
 #include "fault/retry.hpp"
 #include "fault/status.hpp"
 #include "loggp/params.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/prediction_cache.hpp"
 #include "runtime/step_cache.hpp"
@@ -64,22 +58,21 @@ struct PredictJob {
   const core::CostTable* costs = nullptr;
   /// Optional simulated-machine timeline capture for THIS job (borrowed,
   /// not thread-safe -- set it on at most one job per batch).  A traced
-  /// job bypasses the prediction cache and checkpoint: a hit would skip
-  /// the simulation and leave the recorder empty.  The recorder ends up
-  /// holding the standard-schedule run (see core::Predictor).
+  /// job bypasses the prediction cache: a hit would skip the simulation
+  /// and leave the recorder empty.  The recorder ends up holding the
+  /// standard-schedule run (see core::Predictor).
   obs::SimTraceRecorder* sim_trace = nullptr;
   /// Optional per-job stop controls, honoured in ADDITION to the batch
   /// token / config deadlines (the serving layer attaches one per request).
-  /// Neither affects the prediction value, so cached/checkpointed results
-  /// still apply.
+  /// Neither affects the prediction value, so cached results still apply.
   fault::CancelToken cancel{};
   /// Wall-clock budget for this job's attempt chain; zero disables.
   /// Combined with Config::job_deadline by taking the earlier expiry.
   std::chrono::steady_clock::duration deadline{};
   /// Optional per-job simulation-seed override (worst-case tie-breaking);
   /// nullopt uses Config::sim.seed.  The effective seed is part of the
-  /// cache / checkpoint key, so jobs with different seeds never share an
-  /// entry.  The serving layer maps the wire request's seed here.
+  /// cache key, so jobs with different seeds never share an entry.  The
+  /// serving layer maps the wire request's seed here.
   std::optional<std::uint64_t> seed = std::nullopt;
   /// Precomputed prediction_program_hash(*program, *costs); nullopt hashes
   /// on demand.  The serving layer's registered programs carry it so a
@@ -87,10 +80,9 @@ struct PredictJob {
   /// match the borrowed program/costs or cache entries are wasted (never
   /// wrong: lookups verify with full equality).
   std::optional<std::uint64_t> program_hash = std::nullopt;
-  /// Skips the PredictionCache (and checkpoint) for this job: for callers
-  /// that memoize at a higher level and don't want a second full program
-  /// copy retained in the shared cache.  The comm-step cache still
-  /// applies.
+  /// Skips the PredictionCache for this job: for callers that memoize at
+  /// a higher level and don't want a second full program copy retained in
+  /// the shared cache.  The comm-step cache still applies.
   bool bypass_cache = false;
   /// Optional topology backend override for THIS job (borrowed; must
   /// outlive the predict call).  nullptr inherits Config::sim.net.  A
@@ -104,9 +96,8 @@ struct PredictJob {
 struct JobResult {
   std::optional<core::Prediction> prediction;
   Status status;              ///< ok() iff prediction.has_value()
-  int attempts = 0;           ///< tries consumed (0 for checkpoint hits)
-  bool from_cache = false;       ///< served by the PredictionCache
-  bool from_checkpoint = false;  ///< served by a resumed checkpoint
+  int attempts = 0;           ///< tries consumed
+  bool from_cache = false;    ///< served by the PredictionCache
 
   [[nodiscard]] bool ok() const { return prediction.has_value(); }
   /// Precondition: ok().
@@ -124,8 +115,8 @@ class BatchPredictor {
     std::size_t threads = 0;
     /// Simulation options shared by every job (seed, worst-case toggle).
     /// A compute_overhead callback, if set, must be thread-safe; jobs using
-    /// one bypass the cache and checkpoint (a closure has no canonical
-    /// hash).  The cancel/deadline fields are overwritten per job.
+    /// one bypass the cache (a closure has no canonical hash).  The
+    /// cancel/deadline fields are overwritten per job.
     core::ProgramSimOptions sim{};
     /// Optional memoization cache; borrowed, may be shared across
     /// BatchPredictors.  nullptr disables memoization.
@@ -147,11 +138,6 @@ class BatchPredictor {
     /// Wall-clock budget for a whole predict_all call; zero disables.
     /// Doubles as the watchdog horizon.
     std::chrono::steady_clock::duration batch_deadline{};
-    /// Checkpoint file; empty disables checkpointing.
-    std::string checkpoint_path{};
-    /// Persist after this many newly completed jobs (plus once at batch
-    /// end); clamped to at least 1.
-    std::size_t checkpoint_every = 16;
   };
 
   BatchPredictor() : BatchPredictor(Config{}) {}
@@ -166,7 +152,7 @@ class BatchPredictor {
       fault::CancelToken cancel = fault::CancelToken{});
 
   /// Convenience: evaluates one job through the same cache + retry +
-  /// metrics path (no checkpoint, no watchdog).  High-rate callers (the
+  /// metrics path (no watchdog).  High-rate callers (the
   /// serving layer) pass publish_gauges = false so a warm cache hit stays
   /// at memory speed, and publish on their own cadence instead.
   [[nodiscard]] JobResult predict_one(const PredictJob& job,
@@ -188,12 +174,19 @@ class BatchPredictor {
   /// into live memory instead of a dead stack frame.
   struct BatchState;
 
+  /// The PredictionCache key of `job`, or nullopt when the job must not
+  /// touch the cache: no cache configured, null inputs, bypass_cache, a
+  /// sim_trace recorder, a non-flat network, or a compute_overhead
+  /// closure (opaque to the canonical hash).
+  [[nodiscard]] std::optional<std::uint64_t> cache_key(
+      const PredictJob& job) const;
+
   JobResult run_job(const PredictJob& job, const fault::CancelToken& cancel,
                     std::chrono::steady_clock::time_point batch_deadline,
-                    std::uint64_t key, bool keyed, std::uint64_t trace_id);
+                    std::optional<std::uint64_t> key, std::uint64_t trace_id);
   Status run_attempt(const PredictJob& job, const fault::CancelToken& cancel,
                      std::chrono::steady_clock::time_point deadline,
-                     std::uint64_t key, bool keyed, JobResult* result);
+                     std::optional<std::uint64_t> key, JobResult* result);
   void finish_job(const std::shared_ptr<BatchState>& state, std::size_t index,
                   JobResult result);
 
@@ -208,10 +201,6 @@ class BatchPredictor {
   metrics::Counter& timeouts_;
   metrics::Counter& cancelled_;
   metrics::Counter& watchdog_expiries_;
-  metrics::Counter& checkpoint_hits_;
-  metrics::Counter& checkpoint_writes_;
-  metrics::Counter& checkpoint_write_errors_;
-  metrics::Counter& checkpoint_load_errors_;
   metrics::Histogram& job_wall_us_;
   metrics::Histogram& queue_wait_us_;
   ThreadPool pool_;  // last: workers must never outlive the fields above

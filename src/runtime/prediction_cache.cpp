@@ -44,10 +44,8 @@ std::uint64_t prediction_key_hash(const core::StepProgram& program,
                                   const core::CostTable& costs,
                                   const loggp::Params& params,
                                   std::uint64_t seed) {
-  // Composition of the two halves above.  Note: splitting changed the
-  // digest values relative to the single-pass walk it replaced, so
-  // checkpoints written before the change simply miss and recompute -- the
-  // keys are cache keys, not stored-format contracts.
+  // Composition of the two halves above.  The digests are in-memory cache
+  // keys, not a stored format: they may change between versions.
   return prediction_key_hash(prediction_program_hash(program, costs), params,
                              seed);
 }

@@ -1,18 +1,14 @@
 // Failpoint-driven matrix tests for the hardened batch runtime: retry
 // with backoff, per-job deadlines, cooperative mid-batch cancellation,
-// the watchdog on wedged workers, crash-safe checkpoint/resume (including
-// a simulated kill at 50% of a ge_sweep) and graceful degradation of the
-// cache and checkpoint under injected faults.  Everything here drives the
-// GLOBAL failpoint registry -- each test scopes its configuration with
-// ScopedFailpoints so the next test starts disarmed.
+// the watchdog on wedged workers, rerun determinism of a ge_sweep and
+// graceful degradation of the cache under injected faults.  Everything
+// here drives the GLOBAL failpoint registry -- each test scopes its
+// configuration with ScopedFailpoints so the next test starts disarmed.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,7 +20,6 @@
 #include "layout/layout.hpp"
 #include "loggp/params.hpp"
 #include "runtime/batch_predictor.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/prediction_cache.hpp"
 #include "runtime/thread_pool.hpp"
@@ -110,21 +105,6 @@ void expect_identical(const core::ProgramResult& a,
 void expect_identical(const core::Prediction& a, const core::Prediction& b) {
   expect_identical(a.standard, b.standard);
   expect_identical(a.worst_case, b.worst_case);
-}
-
-/// The checkpoint text format leads each entry with "entry <16hex>".
-std::vector<std::uint64_t> checkpoint_keys(const runtime::Checkpoint& cp) {
-  std::vector<std::uint64_t> keys;
-  std::istringstream text{cp.to_text()};
-  std::string line;
-  while (std::getline(text, line)) {
-    std::istringstream ls{line};
-    std::string keyword, hex;
-    if (ls >> keyword >> hex && keyword == "entry") {
-      keys.push_back(std::strtoull(hex.c_str(), nullptr, 16));
-    }
-  }
-  return keys;
 }
 
 // ------------------------------------------------------------------ retry
@@ -320,142 +300,24 @@ TEST(HardenedRuntime, MidBatchCancellationStopsInFlightAndQueuedJobs) {
   EXPECT_EQ(metrics.counter("batch.cancelled").value(), 4u);
 }
 
-// ------------------------------------------------------ checkpoint/resume
+// ------------------------------------------------------------------ sweep
 
-TEST(HardenedRuntime, CheckpointResumeAfterSimulatedCrashIsBitIdentical) {
-  const std::string path = ::testing::TempDir() + "hardened_resume.ckpt";
-  std::remove(path.c_str());
-  const Fixture fx{8};
-
-  // "Crash" after half the batch: only the first four jobs ever ran.
-  const std::vector<runtime::PredictJob> half{fx.jobs.begin(),
-                                              fx.jobs.begin() + 4};
-  {
-    runtime::metrics::Registry metrics;
-    runtime::BatchPredictor batch{{.threads = 2,
-                                   .metrics = &metrics,
-                                   .checkpoint_path = path,
-                                   .checkpoint_every = 1}};
-    const auto partial = batch.predict_all(half);
-    for (const auto& r : partial) ASSERT_TRUE(r.ok()) << r.error();
-    EXPECT_GE(metrics.counter("checkpoint.writes").value(), 1u);
-  }
-  {
-    const auto persisted = runtime::Checkpoint::load(path);
-    ASSERT_TRUE(persisted.ok()) << persisted.status().to_string();
-    EXPECT_EQ(persisted->size(), 4u);
-  }
-
-  // Resume: a fresh predictor over the FULL batch serves the first half
-  // from the checkpoint and recomputes the rest, bit-identically.
-  runtime::metrics::Registry metrics;
-  runtime::BatchPredictor batch{{.threads = 2,
-                                 .metrics = &metrics,
-                                 .checkpoint_path = path,
-                                 .checkpoint_every = 1}};
-  const auto results = batch.predict_all(fx.jobs);
-  ASSERT_EQ(results.size(), fx.jobs.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].error();
-    expect_identical(results[i].value(), fx.serial[i]);
-    EXPECT_EQ(results[i].from_checkpoint, i < 4);
-    if (i < 4) {
-      EXPECT_EQ(results[i].attempts, 0);
-    }
-  }
-  EXPECT_EQ(metrics.counter("checkpoint.hits").value(), 4u);
-
-  // The final checkpoint now covers the whole batch.
-  const auto full = runtime::Checkpoint::load(path);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full->size(), 8u);
-  std::remove(path.c_str());
-}
-
-TEST(HardenedRuntime, CorruptCheckpointCountsAndStartsFresh) {
-  const std::string path = ::testing::TempDir() + "hardened_corrupt.ckpt";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("logsim-checkpoint v1\nentry gibberish\n", f);
-    std::fclose(f);
-  }
-  const Fixture fx{3};
-  runtime::metrics::Registry metrics;
-  runtime::BatchPredictor batch{{.threads = 2,
-                                 .metrics = &metrics,
-                                 .checkpoint_path = path,
-                                 .checkpoint_every = 1}};
-  const auto results = batch.predict_all(fx.jobs);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].error();
-    expect_identical(results[i].value(), fx.serial[i]);
-    EXPECT_FALSE(results[i].from_checkpoint);
-  }
-  EXPECT_EQ(metrics.counter("checkpoint.load_errors").value(), 1u);
-  EXPECT_EQ(metrics.counter("checkpoint.hits").value(), 0u);
-
-  // The fresh run replaced the corrupt file with a valid checkpoint.
-  const auto reloaded = runtime::Checkpoint::load(path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().to_string();
-  EXPECT_EQ(reloaded->size(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(HardenedRuntime, CheckpointWriteFailureIsNonFatal) {
-  const std::string path = ::testing::TempDir() + "hardened_wfail.ckpt";
-  std::remove(path.c_str());
-  const ScopedFailpoints fp{"checkpoint.write:err"};
-
-  const Fixture fx{3};
-  runtime::metrics::Registry metrics;
-  runtime::BatchPredictor batch{{.threads = 2,
-                                 .metrics = &metrics,
-                                 .checkpoint_path = path,
-                                 .checkpoint_every = 1}};
-  const auto results = batch.predict_all(fx.jobs);
-  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_EQ(metrics.counter("checkpoint.writes").value(), 0u);
-  EXPECT_GE(metrics.counter("checkpoint.write_errors").value(), 1u);
-  // Nothing was persisted -- and nothing crashed.
-  EXPECT_FALSE(runtime::Checkpoint::load(path).ok());
-}
-
-TEST(HardenedRuntime, GeSweepKilledAtHalfwayResumesBitIdentical) {
-  const std::string path = ::testing::TempDir() + "hardened_sweep.ckpt";
-  std::remove(path.c_str());
-  ASSERT_EQ(::setenv("LOGSIM_CHECKPOINT", path.c_str(), 1), 0);
+TEST(HardenedRuntime, GeSweepRerunIsBitIdentical) {
   const layout::DiagonalMap map{8};
-
   const bench::SweepResult first = bench::run_sweep(map);
   ASSERT_FALSE(first.points.empty());
+  const bench::SweepResult second = bench::run_sweep(map);
 
-  // Simulate a kill at ~50%: rewind the persisted checkpoint to its first
-  // half, as if the process died mid-sweep.
-  const auto full = runtime::Checkpoint::load(path);
-  ASSERT_TRUE(full.ok()) << full.status().to_string();
-  const std::vector<std::uint64_t> keys = checkpoint_keys(*full);
-  ASSERT_EQ(keys.size(), first.points.size());
-  runtime::Checkpoint half;
-  for (std::size_t i = 0; i < keys.size() / 2; ++i) {
-    half.put(keys[i], *full->find(keys[i]));
-  }
-  ASSERT_TRUE(half.write_atomic(path).ok());
-
-  const bench::SweepResult resumed = bench::run_sweep(map);
-  ASSERT_EQ(::unsetenv("LOGSIM_CHECKPOINT"), 0);
-
-  ASSERT_EQ(resumed.points.size(), first.points.size());
+  ASSERT_EQ(second.points.size(), first.points.size());
   for (std::size_t i = 0; i < first.points.size(); ++i) {
-    EXPECT_EQ(resumed.points[i].block, first.points[i].block);
-    EXPECT_EQ(resumed.points[i].simulated_standard,
+    EXPECT_EQ(second.points[i].block, first.points[i].block);
+    EXPECT_EQ(second.points[i].simulated_standard,
               first.points[i].simulated_standard);
-    EXPECT_EQ(resumed.points[i].simulated_worst,
+    EXPECT_EQ(second.points[i].simulated_worst,
               first.points[i].simulated_worst);
-    EXPECT_EQ(resumed.points[i].simulated_comm_standard,
+    EXPECT_EQ(second.points[i].simulated_comm_standard,
               first.points[i].simulated_comm_standard);
   }
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------ cache

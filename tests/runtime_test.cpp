@@ -1,13 +1,15 @@
 // Tests for the logsim::runtime batch-prediction engine: thread pool
 // semantics, bit-identical parallel-vs-serial determinism over a
 // randomized job mix, memoization-cache LRU / collision / counter
-// behaviour, per-job error propagation, metrics rendering, and the
-// batch exhaustive-search overload.
+// behaviour, the cacheability rule shared by predict_all and predict_one,
+// per-job error propagation, metrics rendering, and the batch
+// exhaustive-search overload.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,9 @@
 #include "ge/blocked_ge.hpp"
 #include "layout/layout.hpp"
 #include "loggp/params.hpp"
+#include "network/network_model.hpp"
+#include "network/topology_spec.hpp"
+#include "obs/sim_trace.hpp"
 #include "ops/analytic_model.hpp"
 #include "runtime/batch_predictor.hpp"
 #include "runtime/metrics.hpp"
@@ -257,6 +262,67 @@ TEST(BatchPredictor, ErrorsPropagatePerJobWithoutKillingBatch) {
   EXPECT_FALSE(results[3].ok());
   EXPECT_EQ(metrics.counter("batch.job_errors").value(), 2u);
   EXPECT_EQ(metrics.counter("batch.jobs_run").value(), 2u);
+}
+
+TEST(BatchPredictor, PredictAllAndPredictOneShareOneCacheabilityRule) {
+  // Five job kinds, each run three times through one cache in both entry
+  // orders.  Only the plain job may ever be served from the cache, and a
+  // plain job cached by one entry point is a hit for the other: both
+  // derive the same key from the same rule.
+  const auto costs = tiny_costs();
+  const auto params = loggp::presets::meiko_cs2(2);
+  const auto program = tiny_program(4);
+  const auto mesh =
+      network::NetworkModel::create(network::TopologySpec::mesh(1, 2));
+  obs::SimTraceRecorder recorder;
+
+  struct Kind {
+    const char* name;
+    bool cacheable;
+    std::function<void(runtime::PredictJob&)> tweak_job;
+    std::function<Time(const core::WorkItem&)> compute_overhead;
+  };
+  const std::vector<Kind> kinds = {
+      {"plain", true, [](runtime::PredictJob&) {}, {}},
+      {"bypass_cache", false,
+       [](runtime::PredictJob& job) { job.bypass_cache = true; }, {}},
+      {"sim_trace", false,
+       [&](runtime::PredictJob& job) { job.sim_trace = &recorder; }, {}},
+      {"non-flat net", false,
+       [&](runtime::PredictJob& job) { job.net = mesh.get(); }, {}},
+      {"compute_overhead", false, [](runtime::PredictJob&) {},
+       [](const core::WorkItem&) { return Time{0.0}; }},
+  };
+
+  for (const Kind& kind : kinds) {
+    for (const bool all_first : {true, false}) {
+      SCOPED_TRACE(std::string{kind.name} +
+                   (all_first ? ", predict_all first" : ", predict_one first"));
+      runtime::PredictJob job{&program, params, &costs};
+      kind.tweak_job(job);
+      core::ProgramSimOptions sim;
+      sim.compute_overhead = kind.compute_overhead;
+      runtime::PredictionCache cache;
+      runtime::metrics::Registry metrics;
+      runtime::BatchPredictor batch{
+          {.threads = 2, .sim = sim, .cache = &cache, .metrics = &metrics}};
+
+      auto via_all = [&] {
+        auto results = batch.predict_all({job});
+        return std::move(results.at(0));
+      };
+      auto via_one = [&] { return batch.predict_one(job); };
+      const std::vector<runtime::JobResult> runs =
+          all_first ? std::vector{via_all(), via_all(), via_one()}
+                    : std::vector{via_one(), via_one(), via_all()};
+
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        ASSERT_TRUE(runs[r].ok()) << runs[r].error();
+        expect_identical(runs[r].value(), runs[0].value());
+        EXPECT_EQ(runs[r].from_cache, kind.cacheable && r > 0) << "run " << r;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ cache

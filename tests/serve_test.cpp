@@ -706,7 +706,7 @@ TEST_F(ServeTest, HelloBelowProtocolVersionIsRejectedButConnectionServes) {
   EXPECT_TRUE(same_bits(reply->total_us, direct.value().total().us()));
 }
 
-TEST_F(ServeTest, BinaryPredictionMatchesTextBitForBit) {
+TEST_F(ServeTest, ServedPredictionMatchesDirectBitForBit) {
   // A program uploaded as text and answered over the binary codec matches
   // the in-process prediction of the same text on every bit.
   start();
@@ -803,7 +803,7 @@ TEST_F(ServeTest, RegisteredHandlePredictsWithoutProgramUpload) {
 
 // --- reconnect + partial writes (satellite: client resilience) -----------
 
-TEST_F(ServeTest, ReconnectAfterServerRestartRenegotiatesProtocol) {
+TEST_F(ServeTest, ReconnectAfterServerRestartServesAgain) {
   start();
   const std::uint16_t port = server_->port();
   serve::Client client = connect();
@@ -1015,7 +1015,7 @@ TEST_F(ServeTest, SimThreadPoolPredictionsAreBitIdentical) {
 
 // --- the TOPOLOGY field --------------------------------------------------
 
-TEST(ServeWire, PredictRequestTopologyRoundTripsBothCodecs) {
+TEST(ServeWire, PredictRequestTopologyRoundTrips) {
   // The topology field round-trips through both request envelopes: a
   // single PREDICT and a job embedded in a BATCH.
   serve::PredictRequest req;

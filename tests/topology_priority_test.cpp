@@ -1,13 +1,6 @@
 // Tests for the topology extension, the send-priority ablation switch and
 // the HTML trace export.
 
-// The loggp::Topology shim under test is deprecated (superseded by
-// network::NetworkModel); this file intentionally keeps exercising it
-// until the shim is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -15,69 +8,21 @@
 #include "analysis/html_export.hpp"
 #include "cannon/cannon.hpp"
 #include "core/comm_sim.hpp"
-#include "loggp/topology.hpp"
+#include "network/network_model.hpp"
+#include "network/topology_spec.hpp"
 #include "pattern/builders.hpp"
 
 namespace logsim {
 namespace {
 
-const loggp::Params kMeiko4 = loggp::presets::meiko_cs2(4);
-
 // --- topologies ----------------------------------------------------------
-
-TEST(Topology, CrossbarAlwaysOneHop) {
-  const loggp::Crossbar xbar;
-  EXPECT_EQ(xbar.hops(0, 7), 1);
-  EXPECT_EQ(xbar.name(), "crossbar");
-}
-
-TEST(Topology, MeshManhattanDistance) {
-  const loggp::Mesh2D mesh{3, 4};  // ids row-major
-  EXPECT_EQ(mesh.hops(0, 0), 0);
-  EXPECT_EQ(mesh.hops(0, 1), 1);
-  EXPECT_EQ(mesh.hops(0, 4), 1);   // one row down
-  EXPECT_EQ(mesh.hops(0, 11), 2 + 3);  // corner to corner
-  EXPECT_EQ(mesh.hops(11, 0), 5);      // symmetric
-  EXPECT_EQ(mesh.name(), "mesh-3x4");
-}
-
-TEST(Topology, TorusWrapsAround) {
-  const loggp::Torus2D torus{4, 4};
-  EXPECT_EQ(torus.hops(0, 3), 1);   // wrap in the row
-  EXPECT_EQ(torus.hops(0, 12), 1);  // wrap in the column
-  EXPECT_EQ(torus.hops(0, 15), 2);
-  const loggp::Mesh2D mesh{4, 4};
-  EXPECT_EQ(mesh.hops(0, 3), 3);    // the mesh has no wrap
-}
-
-TEST(Topology, LatencyHookChargesExtraHops) {
-  // 2x2 mesh: 0 -> 3 is 2 hops, so one extra per_hop beyond L.
-  pattern::CommPattern pat{4};
-  pat.add(0, 3, Bytes{1});
-  const loggp::Mesh2D mesh{2, 2};
-  core::CommSimOptions opts;
-  opts.extra_latency = loggp::topology_latency(pat, mesh, Time{5.0});
-  const auto trace = core::CommSimulator{kMeiko4, opts}.run(pat);
-  // recv start = o + L + extra = 2 + 9 + 5 = 16.
-  EXPECT_DOUBLE_EQ(trace.ops_of(3)[0].start.us(), 16.0);
-}
-
-TEST(Topology, CrossbarHookIsFree) {
-  pattern::CommPattern pat{4};
-  pat.add(0, 3, Bytes{1});
-  const loggp::Crossbar xbar;
-  core::CommSimOptions opts;
-  opts.extra_latency = loggp::topology_latency(pat, xbar, Time{5.0});
-  const auto trace = core::CommSimulator{kMeiko4, opts}.run(pat);
-  EXPECT_DOUBLE_EQ(trace.ops_of(3)[0].start.us(), 11.0);
-}
 
 TEST(Topology, CannonRotationsAreSingleHopOnTorus) {
   // All of Cannon's rotation messages are nearest-neighbour: on the
-  // matching torus the topology hook must charge nothing.
+  // matching torus no message pays a per-hop charge.
   const cannon::CannonConfig cfg{.n = 96, .block = 12, .q = 4};
   const auto program = cannon::build_cannon_program(cfg);
-  const loggp::Torus2D torus{4, 4};
+  const auto torus = network::TopologySpec::torus(4, 4);
   for (std::size_t s = 0; s < program.size(); ++s) {
     if (const auto* c = std::get_if<core::CommStep>(&program.step(s))) {
       for (const auto& m : c->pattern.messages()) {
@@ -90,16 +35,18 @@ TEST(Topology, CannonRotationsAreSingleHopOnTorus) {
 TEST(Topology, MeshSlowsScatterMoreThanTorus) {
   const auto pat = pattern::flat_broadcast(16, Bytes{112});
   const auto params = loggp::presets::meiko_cs2(16);
-  auto makespan = [&](const loggp::Topology& topo) {
+  auto makespan = [&](network::TopologySpec spec) {
+    spec.per_hop = Time{4.0};
+    const auto net = network::NetworkModel::create(std::move(spec));
     core::CommSimOptions opts;
-    opts.extra_latency = loggp::topology_latency(pat, topo, Time{4.0});
+    opts.net = net.get();
     return core::CommSimulator{params, opts}.run(pat).makespan().us();
   };
-  const loggp::Crossbar xbar;
-  const loggp::Torus2D torus{4, 4};
-  const loggp::Mesh2D mesh{4, 4};
-  EXPECT_LE(makespan(xbar), makespan(torus));
-  EXPECT_LE(makespan(torus), makespan(mesh));
+  const double flat = makespan(network::TopologySpec::flat());
+  const double torus = makespan(network::TopologySpec::torus(4, 4));
+  const double mesh = makespan(network::TopologySpec::mesh(4, 4));
+  EXPECT_LT(flat, torus);
+  EXPECT_LT(torus, mesh);
 }
 
 // --- send priority ablation switch ----------------------------------------

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Local CI: configure, build and run the full tier-1 suite twice --
-# once in the default RelWithDebInfo configuration (NDEBUG: the corpus
-# tests exercise release-build error paths) and once under
-# AddressSanitizer, which catches the class of bug the fault layer is
-# designed to keep out (use-after-free on watchdog-abandoned batches,
-# empty-vector reads on uncalibrated ops, torn checkpoint buffers).
+# once in the default RelWithDebInfo configuration with warnings as
+# errors (NDEBUG: the corpus tests exercise release-build error paths)
+# and once under AddressSanitizer, which catches the class of bug the
+# fault layer is designed to keep out (use-after-free on
+# watchdog-abandoned batches, empty-vector reads on uncalibrated ops).
 # Then: a standalone-header pass, a logsimd/logsim_client serve smoke
 # (ephemeral port, scripted session, clean SIGTERM), and the Release
 # perf gate (perf_regression + serve_throughput into BENCH_perf.json).
@@ -30,7 +30,7 @@ run_pass() {
   ctest --test-dir "$build_dir" -j "$jobs" --output-on-failure
 }
 
-run_pass default "$prefix-default"
+run_pass default "$prefix-default" -DLOGSIM_WERROR=ON
 run_pass "$sanitizer" "$prefix-$sanitizer" "-DLOGSIM_SANITIZE=$sanitizer"
 
 # Header self-sufficiency: every public <logsim/*.hpp> module header must
