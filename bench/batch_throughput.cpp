@@ -180,73 +180,69 @@ int main(int argc, char** argv) {
   // Comm-step cache: the structure-aware layer below the whole-program
   // cache.  The cold pass already dedups canonical steps within and across
   // jobs (GE's rotated pivot broadcasts land as relabel hits); the warm
-  // rerun replays every step.  LOGSIM_STEP_CACHE=0 skips this section.
-  if (runtime::step_cache_env_enabled()) {
-    runtime::metrics::Registry sc_metrics;
-    runtime::SharedStepCache step_cache;
-    runtime::BatchPredictor sc_batch{
-        {.threads = 4, .step_cache = &step_cache, .metrics = &sc_metrics}};
+  // rerun replays every step.
+  runtime::metrics::Registry sc_metrics;
+  runtime::SharedStepCache step_cache;
+  runtime::BatchPredictor sc_batch{
+      {.threads = 4, .step_cache = &step_cache, .metrics = &sc_metrics}};
 
-    const auto sc_cold_start = Clock::now();
-    (void)sc_batch.predict_all(jobs);
-    const double sc_cold_sec = seconds_since(sc_cold_start);
-    const auto sc_cold = step_cache.stats();
+  const auto sc_cold_start = Clock::now();
+  (void)sc_batch.predict_all(jobs);
+  const double sc_cold_sec = seconds_since(sc_cold_start);
+  const auto sc_cold = step_cache.stats();
 
-    const auto sc_warm_start = Clock::now();
-    const auto sc_warm_results = sc_batch.predict_all(jobs);
-    const double sc_warm_sec = seconds_since(sc_warm_start);
-    const auto sc_stats = step_cache.stats();
+  const auto sc_warm_start = Clock::now();
+  const auto sc_warm_results = sc_batch.predict_all(jobs);
+  const double sc_warm_sec = seconds_since(sc_warm_start);
+  const auto sc_stats = step_cache.stats();
 
-    bool sc_identical = true;
-    for (std::size_t i = 0; i < sc_warm_results.size(); ++i) {
-      sc_identical =
-          sc_identical && sc_warm_results[i].ok() &&
-          sc_warm_results[i].value().standard.total ==
-              serial[i].standard.total &&
-          sc_warm_results[i].value().worst_case.total ==
-              serial[i].worst_case.total;
-    }
-
-    std::cout << "=== comm-step cache, cold vs warm (4 threads) ===\n";
-    util::Table sc_table{{"pass", "wall(s)", "jobs/s", "speedup vs serial",
-                          "step hits", "relabel", "misses"}};
-    sc_table.add_row(
-        {"cold", util::fmt(sc_cold_sec, 3),
-         util::fmt(static_cast<double>(jobs.size()) / sc_cold_sec, 1),
-         util::fmt(serial_sec / sc_cold_sec, 2),
-         std::to_string(sc_cold.hits), std::to_string(sc_cold.relabel_hits),
-         std::to_string(sc_cold.misses)});
-    sc_table.add_row(
-        {"warm", util::fmt(sc_warm_sec, 3),
-         util::fmt(static_cast<double>(jobs.size()) / sc_warm_sec, 1),
-         util::fmt(serial_sec / sc_warm_sec, 2),
-         std::to_string(sc_stats.hits - sc_cold.hits),
-         std::to_string(sc_stats.relabel_hits - sc_cold.relabel_hits),
-         std::to_string(sc_stats.misses - sc_cold.misses)});
-    std::cout << sc_table << '\n';
-    const auto warm_step_lookups = (sc_stats.hits - sc_cold.hits) +
-                                   (sc_stats.misses - sc_cold.misses);
-    std::cout << "step-cache results identical to serial: "
-              << (sc_identical ? "yes" : "NO") << '\n'
-              << "cold-pass step hit rate: "
-              << util::fmt(sc_cold.hit_rate() * 100.0, 1) << "% ("
-              << sc_cold.hits << "/" << (sc_cold.hits + sc_cold.misses)
-              << " lookups, " << sc_cold.relabel_hits << " via relabeling)\n"
-              << "warm-pass step hit rate: "
-              << util::fmt(warm_step_lookups == 0
-                               ? 0.0
-                               : 100.0 *
-                                     static_cast<double>(sc_stats.hits -
-                                                         sc_cold.hits) /
-                                     static_cast<double>(warm_step_lookups),
-                           1)
-              << "% (" << sc_stats.entries << " entries, " << sc_stats.bytes
-              << " bytes)\n\n";
-    std::cout << "=== step-cache runtime metrics ===\n"
-              << sc_metrics.to_string() << '\n';
-  } else {
-    std::cout << "comm-step cache disabled (LOGSIM_STEP_CACHE=0)\n\n";
+  bool sc_identical = true;
+  for (std::size_t i = 0; i < sc_warm_results.size(); ++i) {
+    sc_identical =
+        sc_identical && sc_warm_results[i].ok() &&
+        sc_warm_results[i].value().standard.total ==
+            serial[i].standard.total &&
+        sc_warm_results[i].value().worst_case.total ==
+            serial[i].worst_case.total;
   }
+
+  std::cout << "=== comm-step cache, cold vs warm (4 threads) ===\n";
+  util::Table sc_table{{"pass", "wall(s)", "jobs/s", "speedup vs serial",
+                        "step hits", "relabel", "misses"}};
+  sc_table.add_row(
+      {"cold", util::fmt(sc_cold_sec, 3),
+       util::fmt(static_cast<double>(jobs.size()) / sc_cold_sec, 1),
+       util::fmt(serial_sec / sc_cold_sec, 2),
+       std::to_string(sc_cold.hits), std::to_string(sc_cold.relabel_hits),
+       std::to_string(sc_cold.misses)});
+  sc_table.add_row(
+      {"warm", util::fmt(sc_warm_sec, 3),
+       util::fmt(static_cast<double>(jobs.size()) / sc_warm_sec, 1),
+       util::fmt(serial_sec / sc_warm_sec, 2),
+       std::to_string(sc_stats.hits - sc_cold.hits),
+       std::to_string(sc_stats.relabel_hits - sc_cold.relabel_hits),
+       std::to_string(sc_stats.misses - sc_cold.misses)});
+  std::cout << sc_table << '\n';
+  const auto warm_step_lookups = (sc_stats.hits - sc_cold.hits) +
+                                 (sc_stats.misses - sc_cold.misses);
+  std::cout << "step-cache results identical to serial: "
+            << (sc_identical ? "yes" : "NO") << '\n'
+            << "cold-pass step hit rate: "
+            << util::fmt(sc_cold.hit_rate() * 100.0, 1) << "% ("
+            << sc_cold.hits << "/" << (sc_cold.hits + sc_cold.misses)
+            << " lookups, " << sc_cold.relabel_hits << " via relabeling)\n"
+            << "warm-pass step hit rate: "
+            << util::fmt(warm_step_lookups == 0
+                             ? 0.0
+                             : 100.0 *
+                                   static_cast<double>(sc_stats.hits -
+                                                       sc_cold.hits) /
+                                   static_cast<double>(warm_step_lookups),
+                         1)
+            << "% (" << sc_stats.entries << " entries, " << sc_stats.bytes
+            << " bytes)\n\n";
+  std::cout << "=== step-cache runtime metrics ===\n"
+            << sc_metrics.to_string() << '\n';
 
   std::cout << "=== runtime metrics ===\n" << metrics.to_string();
 

@@ -99,16 +99,12 @@ inline SweepResult run_sweep(const layout::Layout& map,
 /// Convenience overload: sweeps with a freshly configured batch predictor
 /// (hardware-concurrency threads, no whole-program cache, a sweep-local
 /// comm-step cache) -- the drop-in replacement for the historical serial
-/// signature used by the fig7/8/9 benches.
-///
-/// Set LOGSIM_STEP_CACHE=0 to disable the comm-step cache (results are
-/// bit-identical either way; the cache only changes how fast they arrive).
+/// signature used by the fig7/8/9 benches.  Results are bit-identical to
+/// an uncached sweep; the cache only changes how fast they arrive.
 inline SweepResult run_sweep(const layout::Layout& map,
                              int matrix_n = kMatrixN) {
-  runtime::BatchPredictor::Config cfg;
   runtime::SharedStepCache step_cache;
-  if (runtime::step_cache_env_enabled()) cfg.step_cache = &step_cache;
-  runtime::BatchPredictor batch{cfg};
+  runtime::BatchPredictor batch{{.step_cache = &step_cache}};
   return run_sweep(map, batch, matrix_n);
 }
 

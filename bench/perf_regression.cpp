@@ -34,7 +34,7 @@
 // 64-component dissemination round with the parallel component
 // decomposition off and on.
 //
-// --no-step-cache (or LOGSIM_STEP_CACHE=0) disables the comm-step cache:
+// --no-step-cache disables the comm-step cache:
 // batch_ge_block_sweep then measures the uncached engine and the two
 // comm_step_cache_* rows are omitted.
 //
@@ -382,7 +382,7 @@ std::vector<std::pair<std::string, double>> read_baseline(
 int main(int argc, char** argv) {
   bool quick = false;
   bool p_sweep = false;
-  bool step_cache = logsim::runtime::step_cache_env_enabled();
+  bool step_cache = true;
   std::string out_path;
   std::string baseline_path;
   std::string write_baseline_path;

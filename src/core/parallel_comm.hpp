@@ -49,8 +49,8 @@ using ParallelFor =
 struct ParallelCommOptions {
   /// Decomposition engages only at or above this processor count; smaller
   /// steps simulate scalar (the decomposition bookkeeping costs more than
-  /// it saves).  The LOGSIM_NO_DECOMPOSE escape hatch (read by the runtime
-  /// layer) disables decomposition by zeroing `enabled`.
+  /// it saves).  ProgramSimulator always uses the default; tests lower it
+  /// to reach the component path on small patterns.
   int min_procs = 2048;
   bool enabled = true;
   /// Executor for the component simulations; empty = sequential.

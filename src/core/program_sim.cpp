@@ -109,7 +109,6 @@ Result<ProgramResult> ProgramSimulator::run_checked(const StepProgram& program,
   FinishOnlySink sink;
   ParallelCommOptions pc_opts;
   pc_opts.enabled = opts_.decompose;
-  pc_opts.min_procs = opts_.decompose_min_procs;
   pc_opts.parallel = opts_.comm_parallel;
   pc_opts.net = opts_.net;
   ParallelCommSimulator comm_sim{params_, pc_opts};

@@ -55,14 +55,14 @@ struct ProgramSimOptions {
   /// on or off.  nullptr (the default) records nothing.
   obs::SimTraceRecorder* sim_trace = nullptr;
   /// Component-parallel decomposition of large uniform-byte comm steps
-  /// under the standard schedule (see core/parallel_comm.hpp).  Finish
-  /// times are bit-identical with decomposition on or off -- these knobs
-  /// only trade wall-clock.  `comm_parallel` is the executor for component
+  /// under the standard schedule (see core/parallel_comm.hpp), engaged at
+  /// ParallelCommOptions' default processor threshold.  Finish times are
+  /// bit-identical with decomposition on or off -- these knobs only trade
+  /// wall-clock.  `comm_parallel` is the executor for component
   /// simulations (runtime::sim_parallel_for() for the shared pool; empty =
-  /// components run sequentially); `decompose` maps the
-  /// LOGSIM_NO_DECOMPOSE escape hatch.
+  /// components run sequentially); `decompose = false` forces the scalar
+  /// path.
   bool decompose = true;
-  int decompose_min_procs = 2048;
   core::ParallelFor comm_parallel;
   /// Cooperative cancellation, polled between simulation steps; the
   /// default token is inert.  Only run_checked() honours it.

@@ -17,16 +17,12 @@
 //     default) bypasses memoization entirely.  The simulator never owns or
 //     constructs a cache.
 //   * runtime::SharedStepCache is the (only) implementation: sharded,
-//     thread-safe, byte-budgeted.  Construct it directly with a Config, or
-//     from the environment with runtime::SharedStepCache::config_from_env().
+//     thread-safe, byte-budgeted, built on the same runtime::ShardedLru
+//     core as the PredictionCache.  Its Config (shards, byte budget) is
+//     set in code; every tool uses the defaults.
 //   * runtime::BatchPredictor::Config::step_cache shares one instance
 //     across all workers of a batch.
-//   * Environment / CLI switches, honoured by logsim_cli, the benches and
-//     the sweep drivers:
-//       LOGSIM_STEP_CACHE=0        disable (runtime::step_cache_env_enabled)
-//       LOGSIM_STEP_CACHE_SHARDS=N lock shards      (default 16)
-//       LOGSIM_STEP_CACHE_MB=N     byte budget in MiB (default 64)
-//       --no-step-cache            per-invocation CLI/bench equivalent
+//   * The one switch: --no-step-cache on logsim_cli and perf_regression.
 //     Predictions are bit-identical with the cache on or off.
 //
 // Key anatomy (DESIGN.md section 10):

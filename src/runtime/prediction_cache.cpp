@@ -51,8 +51,10 @@ std::uint64_t prediction_key_hash(const core::StepProgram& program,
 }
 
 std::size_t prediction_entry_bytes(const core::StepProgram& program,
+                                   const core::CostTable& costs,
                                    const core::Prediction& prediction) {
-  std::size_t bytes = sizeof(core::StepProgram) + sizeof(core::Prediction);
+  std::size_t bytes = sizeof(core::StepProgram) + sizeof(core::CostTable) +
+                      sizeof(core::Prediction);
   for (std::size_t i = 0; i < program.size(); ++i) {
     const auto& step = program.step(i);
     bytes += sizeof(step);
@@ -66,6 +68,13 @@ std::size_t prediction_entry_bytes(const core::StepProgram& program,
                sizeof(pattern::Message);
     }
   }
+  // The cost table is a full copy too, and on the serving path it is
+  // untrusted upload content: a huge table with a tiny program must not
+  // slip past the budget.
+  for (core::OpId op = 0; op < costs.op_count(); ++op) {
+    bytes += sizeof(std::string) + costs.name(op).size() +
+             costs.block_sizes(op).size() * (sizeof(int) + sizeof(Time));
+  }
   for (const auto* result : {&prediction.standard, &prediction.worst_case}) {
     bytes += (result->proc_end.size() + result->comp.size() +
               result->comm.size()) *
@@ -74,14 +83,19 @@ std::size_t prediction_entry_bytes(const core::StepProgram& program,
   return bytes;
 }
 
-PredictionCache::PredictionCache(Config config) {
-  const std::size_t shard_count = config.shards == 0 ? 1 : config.shards;
-  per_shard_budget_ = config.byte_budget / shard_count;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+namespace {
+
+/// Full-key verification: a hash collision must be a miss.
+auto same_key(const core::StepProgram& program, const core::CostTable& costs,
+              const loggp::Params& params, std::uint64_t seed) {
+  return [prog = &program, table = &costs, point = &params,
+          seed](const auto& entry) {
+    return entry.seed == seed && entry.params == *point &&
+           entry.program == *prog && entry.costs == *table;
+  };
 }
+
+}  // namespace
 
 std::optional<core::Prediction> PredictionCache::lookup(
     const core::StepProgram& program, const core::CostTable& costs,
@@ -97,25 +111,16 @@ std::optional<core::Prediction> PredictionCache::lookup(
   // An injected lookup failure degrades to a miss: the cache is an
   // optimization, so a flaky backing store must never fail a prediction.
   if (Status st = fault::failpoint("cache.lookup"); !st.ok()) {
-    Shard& shard = *shards_[shard_of(hash)];
-    std::lock_guard lock{shard.mu};
-    ++shard.misses;
+    lru_.count_miss(hash);
     return std::nullopt;
   }
-  Shard& shard = *shards_[shard_of(hash)];
-  std::lock_guard lock{shard.mu};
-  if (auto it = shard.index.find(hash); it != shard.index.end()) {
-    for (auto entry_it : it->second) {
-      if (entry_it->seed == seed && entry_it->params == params &&
-          entry_it->program == program && entry_it->costs == costs) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
-        ++shard.hits;
-        return entry_it->prediction;
-      }
-    }
-  }
-  ++shard.misses;
-  return std::nullopt;
+  std::optional<core::Prediction> found;
+  (void)lru_.lookup(hash, same_key(program, costs, params, seed),
+                    [&found](const Entry& entry) {
+                      found = entry.prediction;
+                      return false;
+                    });
+  return found;
 }
 
 void PredictionCache::insert(const core::StepProgram& program,
@@ -134,68 +139,9 @@ void PredictionCache::insert(std::uint64_t hash,
   // An injected insert failure skips the store; correctness is unaffected,
   // the entry is simply recomputed next time.
   if (Status st = fault::failpoint("cache.insert"); !st.ok()) return;
-  Shard& shard = *shards_[shard_of(hash)];
-  std::lock_guard lock{shard.mu};
-  if (auto it = shard.index.find(hash); it != shard.index.end()) {
-    for (auto entry_it : it->second) {
-      if (entry_it->seed == seed && entry_it->params == params &&
-          entry_it->program == program && entry_it->costs == costs) {
-        // Already cached (a racing worker got here first): refresh recency.
-        shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
-        return;
-      }
-    }
-  }
-  Entry entry{hash, program, costs, params, seed, prediction,
-              prediction_entry_bytes(program, prediction)};
-  if (entry.bytes > per_shard_budget_) return;  // would evict everything
-  shard.lru.push_front(std::move(entry));
-  shard.index[hash].push_back(shard.lru.begin());
-  shard.bytes += shard.lru.front().bytes;
-  ++shard.insertions;
-  evict_to_budget_locked(shard);
-}
-
-void PredictionCache::evict_to_budget_locked(Shard& shard) {
-  while (shard.bytes > per_shard_budget_ && !shard.lru.empty()) {
-    auto victim = std::prev(shard.lru.end());
-    shard.bytes -= victim->bytes;
-    unindex(shard, victim);
-    shard.lru.erase(victim);
-    ++shard.evictions;
-  }
-}
-
-void PredictionCache::unindex(Shard& shard, std::list<Entry>::iterator it) {
-  auto bucket = shard.index.find(it->hash);
-  auto& vec = bucket->second;
-  std::erase(vec, it);
-  if (vec.empty()) shard.index.erase(bucket);
-}
-
-PredictionCache::Stats PredictionCache::stats() const {
-  Stats total;
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard lock{shard.mu};
-    total.hits += shard.hits;
-    total.misses += shard.misses;
-    total.insertions += shard.insertions;
-    total.evictions += shard.evictions;
-    total.entries += shard.lru.size();
-    total.bytes += shard.bytes;
-  }
-  return total;
-}
-
-void PredictionCache::clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard lock{shard.mu};
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
+  (void)lru_.insert(hash, same_key(program, costs, params, seed),
+                    Entry{program, costs, params, seed, prediction},
+                    prediction_entry_bytes(program, costs, prediction));
 }
 
 }  // namespace logsim::runtime

@@ -1,5 +1,7 @@
 #pragma once
-// Sharded memoization cache for predictions.
+// Memoization cache for whole predictions, one user of the shared
+// ShardedLru core (runtime/sharded_lru.hpp: hash-selected shards, per-shard
+// mutex + LRU list, byte-budget eviction, cumulative stats).
 //
 // Key: a canonical 64-bit FNV-1a hash over the step program's structure,
 // its cost table, and the LogGP parameters (plus the simulation seed,
@@ -8,30 +10,24 @@
 // structure but different calibrations predict different times -- a
 // distinction that never arose while every caller shared one process-wide
 // analytic table, but which the serving layer (cost tables arrive with
-// every request) makes load-bearing.  The hash selects a shard; each shard
-// holds an LRU list of entries guarded by its own mutex, so concurrent
-// pool workers only contend when they land on the same shard.  Because 64
-// bits can collide, every entry keeps a full copy of its (program, costs,
-// params) key and lookups verify with operator== before reporting a hit --
-// a collision is a miss, never a wrong answer.
+// every request) makes load-bearing.  Because 64 bits can collide, every
+// entry keeps a full copy of its (program, costs, params) key and lookups
+// verify with operator== before reporting a hit -- a collision is a miss,
+// never a wrong answer.
 //
-// Eviction is by approximate byte footprint: each entry is charged for its
-// program copy (steps, work items, touched-block ids, messages) and its
-// Prediction vectors; when the configured byte budget is exceeded the
-// least-recently-used entries are dropped, oldest first.
+// Each entry is charged for its program copy (steps, work items,
+// touched-block ids, messages), its cost-table copy (op names and
+// calibration points: on the serving path that table is untrusted upload
+// content) and its Prediction vectors.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "core/predictor.hpp"
 #include "core/step_program.hpp"
 #include "loggp/params.hpp"
+#include "runtime/sharded_lru.hpp"
 
 namespace logsim::runtime {
 
@@ -71,23 +67,11 @@ class PredictionCache {
     std::size_t byte_budget = 256ull << 20;
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-
-    [[nodiscard]] double hit_rate() const {
-      const auto total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
-  };
+  using Stats = LruStats;
 
   PredictionCache() : PredictionCache(Config{}) {}
-  explicit PredictionCache(Config config);
+  explicit PredictionCache(Config config)
+      : lru_(config.shards, config.byte_budget) {}
 
   /// Returns the cached prediction for an exactly-equal key, promoting the
   /// entry to most-recently-used; counts a hit or a miss.
@@ -114,49 +98,31 @@ class PredictionCache {
               const core::CostTable& costs, const loggp::Params& params,
               std::uint64_t seed, const core::Prediction& prediction);
 
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  [[nodiscard]] Stats stats() const { return lru_.stats(); }
+  [[nodiscard]] std::size_t shard_count() const { return lru_.shard_count(); }
   /// Shard a key hash routes to (exposed so tests can force collisions).
   [[nodiscard]] std::size_t shard_of(std::uint64_t hash) const {
-    return hash % shards_.size();
+    return lru_.shard_of(hash);
   }
 
   /// Drops all entries; counters are kept (they are cumulative).
-  void clear();
+  void clear() { lru_.clear(); }
 
  private:
   struct Entry {
-    std::uint64_t hash = 0;
     core::StepProgram program;  // full key copy for collision verification
     core::CostTable costs;      // ditto: calibration is part of the answer
     loggp::Params params;
     std::uint64_t seed = 0;
     core::Prediction prediction;
-    std::size_t bytes = 0;
   };
 
-  struct Shard {
-    std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    // hash -> entries with that hash (usually one; collisions append).
-    std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
-        index;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  void evict_to_budget_locked(Shard& shard);
-  static void unindex(Shard& shard, std::list<Entry>::iterator it);
-
-  std::size_t per_shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<Entry> lru_;
 };
 
 /// Approximate heap footprint of one cached entry, used for the budget.
 [[nodiscard]] std::size_t prediction_entry_bytes(
-    const core::StepProgram& program, const core::Prediction& prediction);
+    const core::StepProgram& program, const core::CostTable& costs,
+    const core::Prediction& prediction);
 
 }  // namespace logsim::runtime

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
 namespace logsim::runtime {
@@ -44,21 +43,11 @@ std::size_t env_threads() {
   return hw > 0 ? hw : 1;
 }
 
-bool env_decompose() {
-  const char* v = std::getenv("LOGSIM_NO_DECOMPOSE");
-  return v == nullptr || std::string{v} == "0";
-}
-
 // Overridable configuration, latched into the shared executor on first
 // sim_parallel_for() use.
 std::atomic<std::size_t>& thread_count_override() {
   static std::atomic<std::size_t> count{env_threads()};
   return count;
-}
-
-std::atomic<bool>& decompose_flag() {
-  static std::atomic<bool> flag{env_decompose()};
-  return flag;
 }
 
 }  // namespace
@@ -107,14 +96,6 @@ const core::ParallelFor& sim_parallel_for() {
     return pool_parallel(pool);
   }();
   return executor;
-}
-
-bool sim_decompose_enabled() {
-  return decompose_flag().load(std::memory_order_relaxed);
-}
-
-void set_sim_decompose(bool enabled) {
-  decompose_flag().store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace logsim::runtime

@@ -17,11 +17,10 @@
 //     concurrency; 0 or 1 = no pool, empty executor, sequential
 //     simulation).
 //
-// Escape-hatch environment knobs, read once on first use:
-//   LOGSIM_SIM_THREADS=N    worker count for the simulation pool
-//   LOGSIM_NO_DECOMPOSE=1   disable component decomposition entirely
-//     (sim_decompose_enabled() reports it; the CLI layers map
-//      --sim-threads / --no-decompose onto the same switches).
+// LOGSIM_SIM_THREADS=N, read once on first use, sets the pool's worker
+// count; logsim_cli's --sim-threads maps onto the same switch.
+// Decomposition itself is always on (core::ProgramSimOptions::decompose
+// is the per-run seam); finish times are bit-identical either way.
 
 #include <cstddef>
 
@@ -47,13 +46,5 @@ void set_sim_thread_count(std::size_t threads);
 /// created ThreadPool.  The empty case keeps callers allocation- and
 /// thread-free (components then run sequentially in the caller).
 [[nodiscard]] const core::ParallelFor& sim_parallel_for();
-
-/// False when LOGSIM_NO_DECOMPOSE is set (to anything but "0") or
-/// set_sim_decompose(false) was called: callers should leave
-/// ParallelCommOptions::enabled off.
-[[nodiscard]] bool sim_decompose_enabled();
-
-/// Overrides the LOGSIM_NO_DECOMPOSE-derived default (CLI flag hook).
-void set_sim_decompose(bool enabled);
 
 }  // namespace logsim::runtime

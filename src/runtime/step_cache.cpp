@@ -1,36 +1,12 @@
 #include "runtime/step_cache.hpp"
 
-#include <cstdlib>
-#include <string_view>
+#include <memory>
 #include <utility>
 
 #include "fault/failpoint.hpp"
 #include "obs/trace.hpp"
 
 namespace logsim::runtime {
-
-bool step_cache_env_enabled() {
-  const char* v = std::getenv("LOGSIM_STEP_CACHE");
-  return v == nullptr || std::string_view{v} != "0";
-}
-
-SharedStepCache::Config SharedStepCache::config_from_env() {
-  Config config;
-  // strtoull accepts the whole numeric prefix; a stray suffix or a fully
-  // non-numeric value parses to 0 and falls back to the default -- env
-  // knobs should degrade, not crash the process.
-  if (const char* v = std::getenv("LOGSIM_STEP_CACHE_SHARDS")) {
-    if (const auto n = std::strtoull(v, nullptr, 10); n > 0) {
-      config.shards = static_cast<std::size_t>(n);
-    }
-  }
-  if (const char* v = std::getenv("LOGSIM_STEP_CACHE_MB")) {
-    if (const auto mb = std::strtoull(v, nullptr, 10); mb > 0) {
-      config.byte_budget = static_cast<std::size_t>(mb) << 20;
-    }
-  }
-  return config;
-}
 
 namespace {
 
@@ -45,15 +21,6 @@ std::size_t entry_bytes(const pattern::CanonicalPattern& canon,
 }
 
 }  // namespace
-
-SharedStepCache::SharedStepCache(Config config) {
-  const std::size_t shard_count = config.shards == 0 ? 1 : config.shards;
-  per_shard_budget_ = config.byte_budget / shard_count;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
 
 bool SharedStepCache::matches(const Entry& entry,
                               const core::CommStepQuery& query) {
@@ -85,34 +52,27 @@ bool SharedStepCache::lookup(const core::CommStepQuery& query,
   // optimization, so a flaky backing store must never fail a simulation.
   obs::TraceSession& tracer = obs::TraceSession::global();
   if (Status st = fault::failpoint("step_cache.lookup"); !st.ok()) {
-    Shard& shard = *shards_[shard_of(query.key_hash)];
-    std::lock_guard lock{shard.mu};
-    ++shard.misses;
+    lru_.count_miss(query.key_hash);
     if (tracer.enabled()) tracer.instant("step_cache.miss", "cache");
     return false;
   }
-  Shard& shard = *shards_[shard_of(query.key_hash)];
-  std::lock_guard lock{shard.mu};
-  if (auto it = shard.index.find(query.key_hash); it != shard.index.end()) {
-    for (auto entry_it : it->second) {
-      if (!matches(*entry_it, query)) continue;
-      shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
-      ++shard.hits;
-      const bool relabel =
-          !entry_it->exact && entry_it->origin_perm != *query.from_canonical;
-      if (relabel) ++shard.relabel_hits;
-      if (tracer.enabled()) {
-        tracer.instant(relabel ? "step_cache.relabel_hit" : "step_cache.hit",
-                       "cache");
-      }
-      finish.assign(entry_it->finish.begin(), entry_it->finish.end());
-      ops = entry_it->ops;
-      return true;
-    }
+  bool relabel = false;
+  const bool hit = lru_.lookup(
+      query.key_hash,
+      [&query](const Entry& entry) { return matches(entry, query); },
+      [&](const Entry& entry) {
+        finish.assign(entry.finish.begin(), entry.finish.end());
+        ops = entry.ops;
+        relabel = !entry.exact && entry.origin_perm != *query.from_canonical;
+        return relabel;  // counted as a relabel hit
+      });
+  if (tracer.enabled()) {
+    tracer.instant(!hit      ? "step_cache.miss"
+                   : relabel ? "step_cache.relabel_hit"
+                             : "step_cache.hit",
+                   "cache");
   }
-  ++shard.misses;
-  if (tracer.enabled()) tracer.instant("step_cache.miss", "cache");
-  return false;
+  return hit;
 }
 
 void SharedStepCache::insert(const core::CommStepQuery& query,
@@ -121,92 +81,29 @@ void SharedStepCache::insert(const core::CommStepQuery& query,
   // the step is simply re-simulated next time.
   if (Status st = fault::failpoint("step_cache.insert"); !st.ok()) return;
 
-  Entry entry;
-  entry.hash = query.key_hash;
-  entry.canon = query.canon;
-  if (entry.canon == nullptr) {
+  std::shared_ptr<const pattern::CanonicalPattern> canon = query.canon;
+  if (canon == nullptr) {
     // Uninterned pattern: materialize a private canonical form (the miss
     // path just paid for a full simulation, so this is noise).
     pattern::Canonicalizer canonicalizer;
     if (canonicalizer.analyze(*query.pattern) == 0) return;
-    entry.canon = std::make_shared<const pattern::CanonicalPattern>(
+    canon = std::make_shared<const pattern::CanonicalPattern>(
         canonicalizer.materialize(*query.pattern));
   }
-  entry.ready = *query.ready;
-  entry.params = *query.params;
-  entry.seed = query.exact ? query.seed : 0;
-  entry.origin_perm = *query.from_canonical;
-  entry.worst_case = query.worst_case;
-  entry.exact = query.exact;
-  entry.finish = finish;
-  entry.ops = query.ops;
-  entry.bytes = entry_bytes(*entry.canon, entry.origin_perm.size());
-  if (entry.bytes > per_shard_budget_) return;  // would evict everything
-
-  Shard& shard = *shards_[shard_of(query.key_hash)];
-  std::lock_guard lock{shard.mu};
-  if (auto it = shard.index.find(query.key_hash); it != shard.index.end()) {
-    for (auto entry_it : it->second) {
-      if (matches(*entry_it, query)) {
-        // Already cached (a racing worker got here first): refresh recency.
-        shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
-        return;
-      }
-    }
-  }
-  shard.lru.push_front(std::move(entry));
-  shard.index[query.key_hash].push_back(shard.lru.begin());
-  shard.bytes += shard.lru.front().bytes;
-  ++shard.insertions;
+  const std::size_t bytes = entry_bytes(*canon, query.from_canonical->size());
+  const auto inserted = lru_.insert(
+      query.key_hash,
+      [&query](const Entry& cached) { return matches(cached, query); },
+      Entry{std::move(canon), *query.ready, *query.params,
+            query.exact ? query.seed : 0, *query.from_canonical,
+            query.worst_case, query.exact, finish, query.ops},
+      bytes);
   if (obs::TraceSession& tracer = obs::TraceSession::global();
-      tracer.enabled()) {
+      tracer.enabled() && inserted.stored) {
     tracer.instant("step_cache.insert", "cache");
-  }
-  evict_to_budget_locked(shard);
-}
-
-void SharedStepCache::evict_to_budget_locked(Shard& shard) {
-  obs::TraceSession& tracer = obs::TraceSession::global();
-  while (shard.bytes > per_shard_budget_ && !shard.lru.empty()) {
-    auto victim = std::prev(shard.lru.end());
-    shard.bytes -= victim->bytes;
-    unindex(shard, victim);
-    shard.lru.erase(victim);
-    ++shard.evictions;
-    if (tracer.enabled()) tracer.instant("step_cache.evict", "cache");
-  }
-}
-
-void SharedStepCache::unindex(Shard& shard, std::list<Entry>::iterator it) {
-  auto bucket = shard.index.find(it->hash);
-  auto& vec = bucket->second;
-  std::erase(vec, it);
-  if (vec.empty()) shard.index.erase(bucket);
-}
-
-SharedStepCache::Stats SharedStepCache::stats() const {
-  Stats total;
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard lock{shard.mu};
-    total.hits += shard.hits;
-    total.relabel_hits += shard.relabel_hits;
-    total.misses += shard.misses;
-    total.insertions += shard.insertions;
-    total.evictions += shard.evictions;
-    total.entries += shard.lru.size();
-    total.bytes += shard.bytes;
-  }
-  return total;
-}
-
-void SharedStepCache::clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard lock{shard.mu};
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
+    for (std::size_t i = 0; i < inserted.evicted; ++i) {
+      tracer.instant("step_cache.evict", "cache");
+    }
   }
 }
 

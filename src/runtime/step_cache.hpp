@@ -1,9 +1,12 @@
 #pragma once
-// Sharded cross-job comm-step cache: the runtime implementation of
-// core::StepCache, mirroring PredictionCache's design (FNV-1a-keyed
-// shards, per-shard mutex + LRU list, byte-budget eviction, full-key
-// verification on every candidate so a 64-bit collision is a miss, never
-// a wrong answer).
+// Cross-job comm-step cache: the runtime implementation of
+// core::StepCache, one user of the shared ShardedLru core
+// (runtime/sharded_lru.hpp: hash-selected shards, per-shard mutex + LRU
+// list, byte-budget eviction, cumulative stats).  What is its own: the
+// entry (canonical form, ready times, finish times), the match predicate
+// (full-key verification on every candidate, so a 64-bit collision is a
+// miss, never a wrong answer), the footprint, the step_cache.* failpoints
+// and trace instants, and the relabel_hits counter.
 //
 // Shared by all BatchPredictor workers: a GE block-size sweep simulates
 // each distinct canonical broadcast shape once across ALL jobs, and every
@@ -13,30 +16,21 @@
 // through a different processor labeling than the entry was inserted with
 // are additionally counted as relabel_hits.
 //
-// Escape hatches: the benches, sweep drivers and CLI consult
-// step_cache_env_enabled() (LOGSIM_STEP_CACHE=0 disables) and offer a
-// --no-step-cache flag; core::ProgramSimOptions::step_cache == nullptr
-// always bypasses the machinery entirely.
+// core::ProgramSimOptions::step_cache == nullptr bypasses the machinery
+// entirely; logsim_cli and perf_regression map --no-step-cache onto it.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/step_cache.hpp"
 #include "loggp/params.hpp"
 #include "pattern/canonical.hpp"
+#include "runtime/sharded_lru.hpp"
 #include "util/types.hpp"
 
 namespace logsim::runtime {
-
-/// False iff the LOGSIM_STEP_CACHE environment variable is set to "0" --
-/// the process-wide escape hatch honoured by benches, sweeps and the CLI.
-[[nodiscard]] bool step_cache_env_enabled();
 
 class SharedStepCache final : public core::StepCache {
  public:
@@ -49,33 +43,15 @@ class SharedStepCache final : public core::StepCache {
     std::size_t byte_budget = 64ull << 20;
   };
 
-  /// Config from the environment: LOGSIM_STEP_CACHE_SHARDS overrides the
-  /// shard count, LOGSIM_STEP_CACHE_MB the byte budget in MiB.  Unset,
-  /// empty or unparseable values keep the defaults above; zero is clamped
-  /// to the minimum (1 shard / 1 MiB).  See core/step_cache.hpp for the
-  /// full knob inventory.
-  [[nodiscard]] static Config config_from_env();
-
-  struct Stats {
-    std::uint64_t hits = 0;
+  struct Stats : LruStats {
     /// Subset of hits served through a different processor labeling than
     /// the entry was inserted with (canonical sharing at work).
     std::uint64_t relabel_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
-
-    [[nodiscard]] double hit_rate() const {
-      const auto total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
   };
 
   SharedStepCache() : SharedStepCache(Config{}) {}
-  explicit SharedStepCache(Config config);
+  explicit SharedStepCache(Config config)
+      : lru_(config.shards, config.byte_budget) {}
 
   [[nodiscard]] bool lookup(const core::CommStepQuery& query,
                             std::vector<Time>& finish,
@@ -83,19 +59,20 @@ class SharedStepCache final : public core::StepCache {
   void insert(const core::CommStepQuery& query,
               const std::vector<Time>& finish) override;
 
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  [[nodiscard]] Stats stats() const {
+    return {lru_.stats(), lru_.marked_hits()};
+  }
+  [[nodiscard]] std::size_t shard_count() const { return lru_.shard_count(); }
   /// Shard a key hash routes to (exposed so tests can force collisions).
   [[nodiscard]] std::size_t shard_of(std::uint64_t hash) const {
-    return hash % shards_.size();
+    return lru_.shard_of(hash);
   }
 
   /// Drops all entries; counters are kept (they are cumulative).
-  void clear();
+  void clear() { lru_.clear(); }
 
  private:
   struct Entry {
-    std::uint64_t hash = 0;
     std::shared_ptr<const pattern::CanonicalPattern> canon;
     std::vector<Time> ready;          // canonical order, bitwise key
     loggp::Params params;
@@ -107,29 +84,12 @@ class SharedStepCache final : public core::StepCache {
     bool exact = false;
     std::vector<Time> finish;         // canonical order, absolute times
     std::size_t ops = 0;
-    std::size_t bytes = 0;
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
-        index;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t relabel_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
   };
 
   [[nodiscard]] static bool matches(const Entry& entry,
                                     const core::CommStepQuery& query);
-  void evict_to_budget_locked(Shard& shard);
-  static void unindex(Shard& shard, std::list<Entry>::iterator it);
 
-  std::size_t per_shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<Entry> lru_;
 };
 
 }  // namespace logsim::runtime

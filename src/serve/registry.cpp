@@ -32,21 +32,8 @@ void RegisteredProgram::memo_insert(const loggp::Params& params,
                                     const core::Prediction& prediction) const {
   const MemoKey key{params, seed};
   std::lock_guard lock{memo_mu_};
-  if (memo_.size() >= memo_capacity_ && !memo_.contains(key)) {
-    memo_.clear();
-    ++memo_clears_;
-  }
+  if (memo_.size() >= kMemoCapacity && !memo_.contains(key)) memo_.clear();
   memo_.insert_or_assign(key, prediction);
-}
-
-std::size_t RegisteredProgram::memo_size() const {
-  std::lock_guard lock{memo_mu_};
-  return memo_.size();
-}
-
-std::uint64_t RegisteredProgram::memo_clears() const {
-  std::lock_guard lock{memo_mu_};
-  return memo_clears_;
 }
 
 Result<std::shared_ptr<const RegisteredProgram>> ProgramRegistry::intern(
@@ -89,8 +76,7 @@ Result<std::shared_ptr<const RegisteredProgram>> ProgramRegistry::intern(
   }
   const std::uint64_t handle = next_handle_++;
   auto entry = std::make_shared<const RegisteredProgram>(
-      handle, std::move(bundle).value(), program_hash,
-      config_.memo_entries_per_program, topology);
+      handle, std::move(bundle).value(), program_hash, topology);
   by_handle_.emplace(handle, entry);
   by_content_[content_key].push_back(handle);
   return entry;

@@ -52,13 +52,15 @@ namespace logsim::serve {
 /// what keeps the per-entry (params, seed) memo sound.
 class RegisteredProgram {
  public:
+  /// (params, seed) memo points per entry; the memo clears wholesale
+  /// when full.
+  static constexpr std::size_t kMemoCapacity = 4096;
+
   RegisteredProgram(std::uint64_t handle, io::ProgramBundle bundle,
-                    std::uint64_t program_hash, std::size_t memo_capacity,
-                    network::TopologySpec topology)
+                    std::uint64_t program_hash, network::TopologySpec topology)
       : handle_(handle),
         bundle_(std::move(bundle)),
         program_hash_(program_hash),
-        memo_capacity_(memo_capacity == 0 ? 1 : memo_capacity),
         topology_(std::move(topology)),
         net_(topology_.is_flat() ? nullptr
                                  : network::NetworkModel::create(topology_)) {}
@@ -86,11 +88,6 @@ class RegisteredProgram {
   void memo_insert(const loggp::Params& params, std::uint64_t seed,
                    const core::Prediction& prediction) const;
 
-  /// Memo entries currently held (tests / gauges).
-  [[nodiscard]] std::size_t memo_size() const;
-  /// Times the memo hit capacity and was cleared wholesale.
-  [[nodiscard]] std::uint64_t memo_clears() const;
-
  private:
   struct MemoKey {
     loggp::Params params;
@@ -104,7 +101,6 @@ class RegisteredProgram {
   std::uint64_t handle_;
   io::ProgramBundle bundle_;
   std::uint64_t program_hash_;
-  std::size_t memo_capacity_;
   network::TopologySpec topology_;
   std::unique_ptr<const network::NetworkModel> net_;
 
@@ -112,7 +108,6 @@ class RegisteredProgram {
   // cache bolted onto an otherwise immutable entry.
   mutable std::mutex memo_mu_;
   mutable std::unordered_map<MemoKey, core::Prediction, MemoKeyHash> memo_;
-  mutable std::uint64_t memo_clears_ = 0;
 };
 
 class ProgramRegistry {
@@ -123,9 +118,6 @@ class ProgramRegistry {
     /// inline program text).  Entries are never evicted -- a handle handed
     /// out stays valid -- so this bounds daemon memory.
     std::size_t max_programs = 1024;
-    /// (params, seed) memo points per entry; the memo clears wholesale
-    /// when full.
-    std::size_t memo_entries_per_program = 4096;
     /// Guards for the REGISTER-time parse (the server forwards its wire
     /// limit into max_bytes).
     io::ProgramParseOptions parse;

@@ -797,12 +797,7 @@ void Server::prepare(Request& request, FlushSet& flush,
                      std::vector<Pending>& out) {
   const std::shared_ptr<Conn>& conn = request.conn;
   if (conn->cancel.cancelled()) {
-    // The client is gone; there is nobody to answer.
-    disconnect_cancels_.add();
-    conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    if (request.batch_remaining != nullptr) {
-      request.batch_remaining->fetch_sub(1, std::memory_order_acq_rel);
-    }
+    abandon(request);  // the client is gone; there is nobody to answer
     return;
   }
 
@@ -820,16 +815,10 @@ void Server::prepare(Request& request, FlushSet& flush,
       Result<network::TopologySpec> spec =
           io::parse_topology(split.topology_text);
       if (!spec.ok()) {
-        ErrorReply reply;
-        reply.index = 0;
-        reply.code = spec.status().code();
-        reply.message =
-            Status{spec.status()}
-                .with_context("while parsing the topology to register")
-                .to_string();
-        finish(request,
-               Frame{FrameKind::kError, request.id, encode_error_reply(reply)},
-               /*is_error=*/true, flush);
+        fail(request,
+             Status{spec.status()}.with_context(
+                 "while parsing the topology to register"),
+             flush);
         return;
       }
       topology = std::move(spec).value();
@@ -837,14 +826,7 @@ void Server::prepare(Request& request, FlushSet& flush,
     const Result<std::shared_ptr<const RegisteredProgram>> entry =
         registry_.intern(split.program_text, topology);
     if (!entry.ok()) {
-      ErrorReply reply;
-      reply.index = 0;
-      reply.code = entry.status().code();
-      reply.message = entry.status().to_string();
-      finish(request,
-             Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply)},
-             /*is_error=*/true, flush);
+      fail(request, entry.status(), flush);
       return;
     }
     registered_.add();
@@ -862,16 +844,10 @@ void Server::prepare(Request& request, FlushSet& flush,
   if (request.req.handle != 0) {
     pending.reg = registry_.find(request.req.handle);
     if (pending.reg == nullptr) {
-      ErrorReply reply;
-      reply.index = request.index;
-      reply.code = ErrorCode::kInvalidInput;
-      reply.message =
-          "unknown program handle " + std::to_string(request.req.handle) +
-          " (handles do not survive a server restart; REGISTER again)";
-      finish(request,
-             Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply)},
-             /*is_error=*/true, flush);
+      fail(request, ErrorCode::kInvalidInput,
+           "unknown program handle " + std::to_string(request.req.handle) +
+               " (handles do not survive a server restart; REGISTER again)",
+           flush);
       return;
     }
     program = &pending.reg->program();
@@ -884,16 +860,10 @@ void Server::prepare(Request& request, FlushSet& flush,
     Result<io::ProgramBundle> bundle =
         io::parse_program(request.req.program_text, popts);
     if (!bundle.ok()) {
-      ErrorReply reply;
-      reply.index = request.index;
-      reply.code = bundle.status().code();
-      reply.message = Status{bundle.status()}
-                          .with_context("while parsing the request program")
-                          .to_string();
-      finish(request,
-             Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply)},
-             /*is_error=*/true, flush);
+      fail(request,
+           Status{bundle.status()}.with_context(
+               "while parsing the request program"),
+           flush);
       return;
     }
     pending.bundle =
@@ -907,16 +877,10 @@ void Server::prepare(Request& request, FlushSet& flush,
   Result<loggp::Params> params =
       io::parse_params(request.req.params_text, defaults);
   if (!params.ok()) {
-    ErrorReply reply;
-    reply.index = request.index;
-    reply.code = params.status().code();
-    reply.message = Status{params.status()}
-                        .with_context("while parsing the request params")
-                        .to_string();
-    finish(request,
-           Frame{FrameKind::kError, request.id,
-                 encode_error_reply(reply)},
-           /*is_error=*/true, flush);
+    fail(request,
+         Status{params.status()}.with_context(
+             "while parsing the request params"),
+         flush);
     return;
   }
   pending.params = std::move(params).value();
@@ -932,15 +896,8 @@ void Server::prepare(Request& request, FlushSet& flush,
         io::parse_topology(request.req.topology_text);
     Status st = spec.ok() ? spec->validate(program->procs()) : spec.status();
     if (!st.ok()) {
-      ErrorReply reply;
-      reply.index = request.index;
-      reply.code = st.code();
-      reply.message =
-          st.with_context("while parsing the request topology").to_string();
-      finish(request,
-             Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply)},
-             /*is_error=*/true, flush);
+      fail(request, st.with_context("while parsing the request topology"),
+           flush);
       return;
     }
     if (pending.reg != nullptr && spec.value() == pending.reg->topology()) {
@@ -971,14 +928,8 @@ void Server::prepare(Request& request, FlushSet& flush,
     pending.abs_deadline = request.accepted + deadline;
     const auto now = std::chrono::steady_clock::now();
     if (now >= pending.abs_deadline) {
-      ErrorReply reply;
-      reply.index = request.index;
-      reply.code = ErrorCode::kTimeout;
-      reply.message = "request deadline expired while queued";
-      finish(request,
-             Frame{FrameKind::kError, request.id,
-                   encode_error_reply(reply)},
-             /*is_error=*/true, flush);
+      fail(request, ErrorCode::kTimeout,
+           "request deadline expired while queued", flush);
       return;
     }
     budget_left = pending.abs_deadline - now;
@@ -1027,28 +978,16 @@ void Server::prepare(Request& request, FlushSet& flush,
 void Server::deliver(Pending& pending, const runtime::JobResult& result,
                      FlushSet& flush) {
   Request& request = *pending.request;
-  const std::shared_ptr<Conn>& conn = request.conn;
   if (!result.ok()) {
     if (result.status.code() == ErrorCode::kCancelled &&
-        conn->cancel.cancelled()) {
+        request.conn->cancel.cancelled()) {
       // Disconnect (or shutdown) killed the job mid-run: like the queued
       // case, there is nobody to answer, so account it as a disconnect
       // cancel rather than an error reply to a dead socket.
-      disconnect_cancels_.add();
-      conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-      if (request.batch_remaining != nullptr) {
-        request.batch_remaining->fetch_sub(1, std::memory_order_acq_rel);
-      }
+      abandon(request);
       return;
     }
-    ErrorReply reply;
-    reply.index = request.index;
-    reply.code = result.status.code();
-    reply.message = result.status.to_string();
-    finish(request,
-           Frame{FrameKind::kError, request.id,
-                 encode_error_reply(reply)},
-           /*is_error=*/true, flush);
+    fail(request, result.status, flush);
     return;
   }
   if (pending.reg != nullptr && pending.memoable) {
@@ -1088,6 +1027,29 @@ void Server::finish(Request& request, Frame frame, bool is_error,
       request.batch_remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
     queue_frame(request.conn, Frame{FrameKind::kBatchEnd, request.id, {}},
                 flush);
+  }
+}
+
+void Server::fail(Request& request, ErrorCode code, std::string message,
+                  FlushSet& flush) {
+  ErrorReply reply;
+  reply.index = request.index;
+  reply.code = code;
+  reply.message = std::move(message);
+  finish(request,
+         Frame{FrameKind::kError, request.id, encode_error_reply(reply)},
+         /*is_error=*/true, flush);
+}
+
+void Server::fail(Request& request, const Status& status, FlushSet& flush) {
+  fail(request, status.code(), status.to_string(), flush);
+}
+
+void Server::abandon(Request& request) {
+  disconnect_cancels_.add();
+  request.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
+  if (request.batch_remaining != nullptr) {
+    request.batch_remaining->fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 

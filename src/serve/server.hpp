@@ -171,6 +171,13 @@ class Server {
   void prepare(Request& request, FlushSet& flush, std::vector<Pending>& out);
   /// Accounts and queues the reply frame for one finished request.
   void finish(Request& request, Frame frame, bool is_error, FlushSet& flush);
+  /// Answers a request with an ERROR frame (code, message, the request's
+  /// index); the Status overload sends status.to_string().
+  void fail(Request& request, ErrorCode code, std::string message,
+            FlushSet& flush);
+  void fail(Request& request, const Status& status, FlushSet& flush);
+  /// Releases a request whose client is gone, without a reply.
+  void abandon(Request& request);
   void deliver(Pending& pending, const runtime::JobResult& result,
                FlushSet& flush);
   /// Appends a frame under conn->mu and marks the conn for flushing.

@@ -384,6 +384,17 @@ TEST(PredictionCache, DistinctProgramsForcedIntoOneShardStayDistinct) {
   expect_identical(*hit_b, pred_b);
   // The two predictions genuinely differ, so a collision mix-up would show.
   EXPECT_NE(hit_a->standard.total.us(), hit_b->standard.total.us());
+
+  // A full 64-bit collision: both keys in one hash bucket.  The key match
+  // alone must tell them apart.
+  constexpr std::uint64_t kSameHash = 42;
+  cache.insert(kSameHash, prog_a, costs, params, 1, pred_a);
+  cache.insert(kSameHash, prog_b, costs, params, 1, pred_b);
+  expect_identical(cache.lookup(kSameHash, prog_a, costs, params, 1).value(),
+                   pred_a);
+  expect_identical(cache.lookup(kSameHash, prog_b, costs, params, 1).value(),
+                   pred_b);
+  EXPECT_FALSE(cache.lookup(kSameHash, prog_a, costs, params, 2).has_value());
 }
 
 TEST(PredictionCache, LruEvictionUnderByteBudget) {
@@ -398,8 +409,10 @@ TEST(PredictionCache, LruEvictionUnderByteBudget) {
   const auto pred_a = predictor.predict_or_die(prog_a, costs);
   const auto pred_b = predictor.predict_or_die(prog_b, costs);
   const auto pred_c = predictor.predict_or_die(prog_c, costs);
-  const auto entry_bytes = runtime::prediction_entry_bytes(prog_a, pred_a);
-  ASSERT_EQ(entry_bytes, runtime::prediction_entry_bytes(prog_b, pred_b));
+  const auto entry_bytes =
+      runtime::prediction_entry_bytes(prog_a, costs, pred_a);
+  ASSERT_EQ(entry_bytes,
+            runtime::prediction_entry_bytes(prog_b, costs, pred_b));
 
   // Budget fits exactly two entries.
   runtime::PredictionCache cache{
@@ -429,6 +442,33 @@ TEST(PredictionCache, OversizedEntryIsNotRetained) {
   cache.insert(prog, costs, params, 1, pred);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_FALSE(cache.lookup(prog, costs, params, 1).has_value());
+}
+
+TEST(PredictionCache, CostTableCountsTowardTheBudget) {
+  // The entry keeps a full copy of the request's cost table, which on the
+  // serving path is untrusted upload content: a huge table attached to a
+  // tiny program must be charged, not slip past the budget.
+  const auto costs = tiny_costs();
+  const auto params = loggp::presets::meiko_cs2(2);
+  const auto prog = tiny_program(4);
+  const auto pred = core::Predictor{params}.predict_or_die(prog, costs);
+  const std::size_t slice =
+      4 * runtime::prediction_entry_bytes(prog, costs, pred);
+
+  auto huge = costs;  // the program only uses op 0, so the answer is equal
+  for (int i = 0; static_cast<std::size_t>(i) * 64 <= slice; ++i) {
+    const core::OpId op = huge.register_op("padding_" + std::to_string(i) +
+                                           std::string(64, 'x'));
+    huge.set_cost(op, 4, Time{1.0});
+  }
+  ASSERT_GT(runtime::prediction_entry_bytes(prog, huge, pred), slice);
+
+  runtime::PredictionCache cache{{.shards = 1, .byte_budget = slice}};
+  cache.insert(prog, costs, params, 1, pred);
+  cache.insert(prog, huge, params, 1, pred);
+  EXPECT_EQ(cache.stats().entries, 1u) << "only the small table fits";
+  EXPECT_TRUE(cache.lookup(prog, costs, params, 1).has_value());
+  EXPECT_FALSE(cache.lookup(prog, huge, params, 1).has_value());
 }
 
 TEST(PredictionCache, CanonicalHashIsStructural) {

@@ -801,6 +801,34 @@ TEST_F(ServeTest, RegisteredHandlePredictsWithoutProgramUpload) {
   EXPECT_EQ(broken.status().code(), ErrorCode::kInvalidInput);
 }
 
+TEST(ServeRegistry, FullMemoClearsWholesaleThenKeepsTheNewestPoint) {
+  serve::ProgramRegistry registry;
+  const auto entry = registry.intern(sample_program());
+  ASSERT_TRUE(entry.ok()) << entry.status().to_string();
+  const serve::RegisteredProgram& reg = *entry.value();
+  const loggp::Params params = loggp::presets::meiko_cs2(4);
+  const core::Prediction prediction;  // the memo stores it opaquely
+
+  // Seeds 0..capacity-1 fill the memo exactly; every point stays cached.
+  const std::uint64_t capacity = serve::RegisteredProgram::kMemoCapacity;
+  for (std::uint64_t seed = 0; seed < capacity; ++seed) {
+    reg.memo_insert(params, seed, prediction);
+  }
+  EXPECT_TRUE(reg.memo_lookup(params, 0).has_value());
+  EXPECT_TRUE(reg.memo_lookup(params, capacity - 1).has_value());
+
+  // Re-inserting a cached point does not overflow it.
+  reg.memo_insert(params, 0, prediction);
+  EXPECT_TRUE(reg.memo_lookup(params, capacity - 1).has_value());
+
+  // One point past capacity clears the memo wholesale: the earliest point
+  // misses, the newest hits.
+  reg.memo_insert(params, capacity, prediction);
+  EXPECT_FALSE(reg.memo_lookup(params, 0).has_value());
+  EXPECT_FALSE(reg.memo_lookup(params, capacity - 1).has_value());
+  EXPECT_TRUE(reg.memo_lookup(params, capacity).has_value());
+}
+
 // --- reconnect + partial writes (satellite: client resilience) -----------
 
 TEST_F(ServeTest, ReconnectAfterServerRestartServesAgain) {

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -252,6 +251,19 @@ TEST(SharedStepCache, RelabeledStepHitsAndCounts) {
   (void)sim.run(a, costs);
   EXPECT_EQ(cache.stats().relabel_hits, 1u);
   EXPECT_EQ(cache.stats().hits, 2u);
+
+  // clear() drops the entries but keeps the cumulative counters; the next
+  // run misses and re-inserts.
+  cache.clear();
+  const auto cleared = cache.stats();
+  EXPECT_EQ(cleared.entries, 0u);
+  EXPECT_EQ(cleared.bytes, 0u);
+  EXPECT_EQ(cleared.hits, 2u);
+  EXPECT_EQ(cleared.relabel_hits, 1u);
+  EXPECT_EQ(cleared.misses, 1u);
+  (void)sim.run(a, costs);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(SharedStepCache, WorstCaseKeysIncludeSeed) {
@@ -308,30 +320,60 @@ TEST(SharedStepCache, LruEvictionHonorsByteBudget) {
   pattern::PatternInterner pool;
   const auto params = loggp::presets::meiko_cs2(8);
   const core::CostTable costs;
-  runtime::SharedStepCache cache{{.shards = 1, .byte_budget = 2048}};
-  core::ProgramSimOptions opts;
-  opts.step_cache = &cache;
-  const core::ProgramSimulator sim{params, opts};
+  // Every step entry is charged at least 256 bytes: 2048 holds a few and
+  // must evict, 128 holds none (an entry larger than the slice is not
+  // retained, so nothing is inserted at all).
+  for (const std::size_t budget : {std::size_t{2048}, std::size_t{128}}) {
+    runtime::SharedStepCache cache{{.shards = 1, .byte_budget = budget}};
+    core::ProgramSimOptions opts;
+    opts.step_cache = &cache;
+    const core::ProgramSimulator sim{params, opts};
 
-  // Distinct canonical forms (different fan-out counts) -> distinct entries.
-  for (int k = 2; k <= 8; ++k) {
-    CommPattern p{8};
-    for (int d = 1; d < k; ++d) p.add(0, d, Bytes{256});
-    (void)sim.run(one_step_program(std::move(p), pool), costs);
+    // Distinct canonical forms (different fan-out counts) -> distinct
+    // entries.
+    for (int k = 2; k <= 8; ++k) {
+      CommPattern p{8};
+      for (int d = 1; d < k; ++d) p.add(0, d, Bytes{256});
+      (void)sim.run(one_step_program(std::move(p), pool), costs);
+    }
+    const auto st = cache.stats();
+    const bool fits = budget >= 256;
+    EXPECT_EQ(st.evictions > 0, fits) << budget;
+    EXPECT_EQ(st.entries > 0, fits) << budget;
+    EXPECT_EQ(st.insertions > 0, fits) << budget;
+    EXPECT_LE(st.bytes, budget);
+    EXPECT_EQ(st.misses, 7u);
   }
-  const auto st = cache.stats();
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_LE(st.bytes, 2048u);
-  EXPECT_GE(st.entries, 1u);
 }
 
-TEST(StepCacheEnv, EnvVariableDisables) {
-  ASSERT_EQ(setenv("LOGSIM_STEP_CACHE", "0", 1), 0);
-  EXPECT_FALSE(runtime::step_cache_env_enabled());
-  ASSERT_EQ(setenv("LOGSIM_STEP_CACHE", "1", 1), 0);
-  EXPECT_TRUE(runtime::step_cache_env_enabled());
-  ASSERT_EQ(unsetenv("LOGSIM_STEP_CACHE"), 0);
-  EXPECT_TRUE(runtime::step_cache_env_enabled());
+TEST(SharedStepCache, DistinctFormsForcedIntoOneShardStayDistinct) {
+  // A single-shard cache routes every key to the same shard; the full-key
+  // match must still hand each step its own finish times.
+  pattern::PatternInterner pool;
+  const auto params = loggp::presets::meiko_cs2(8);
+  const core::CostTable costs;
+  const auto narrow =
+      one_step_program(pattern::flat_broadcast(8, Bytes{512}, 0), pool);
+  CommPattern pairs{8};
+  for (int p = 0; p < 8; p += 2) pairs.add(p, p + 1, Bytes{4096});
+  const auto wide = one_step_program(std::move(pairs), pool);
+
+  runtime::SharedStepCache cache{{.shards = 1}};
+  core::ProgramSimOptions opts;
+  opts.step_cache = &cache;
+  const core::ProgramSimulator cached{params, opts};
+  const core::ProgramSimulator uncached{params};
+
+  (void)cached.run(narrow, costs);
+  (void)cached.run(wide, costs);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  const auto narrow_hit = cached.run(narrow, costs);
+  const auto wide_hit = cached.run(wide, costs);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(narrow_hit.proc_end, uncached.run(narrow, costs).proc_end);
+  EXPECT_EQ(wide_hit.proc_end, uncached.run(wide, costs).proc_end);
+  EXPECT_NE(narrow_hit.total.us(), wide_hit.total.us())
+      << "the two steps must differ, or a mix-up would not show";
 }
 
 // ---------------------------------------------------------------------------

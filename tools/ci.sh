@@ -201,19 +201,24 @@ echo "==> [serve] smoke OK (port $port, clean shutdown)"
 
 # The serving layer is the most concurrency-dense code in the repo (N
 # epoll reactors, a worker pool, cross-connection coalescing, a shared
-# registry); run its test binaries under ThreadSanitizer specifically,
-# whatever LOGSIM_CI_SANITIZER picked for the full-suite pass above.
+# registry), and the two memo caches (runtime_test, step_cache_test) are
+# shared by every BatchPredictor worker and every serve reactor; run those
+# test binaries under ThreadSanitizer specifically, whatever
+# LOGSIM_CI_SANITIZER picked for the full-suite pass above.
 if [ "$sanitizer" = "thread" ]; then
   echo "==> [serve-tsan] full suite already ran under TSan; skipping"
 else
   tsan_dir="$prefix-serve-tsan"
+  tsan_tests="serve_test wire_corrupt_test runtime_test step_cache_test"
   echo "==> [serve-tsan] configure: $tsan_dir (LOGSIM_SANITIZE=thread)"
   cmake -S "$repo_root" -B "$tsan_dir" -DLOGSIM_SANITIZE=thread >/dev/null
-  echo "==> [serve-tsan] build serve_test + wire_corrupt_test"
-  cmake --build "$tsan_dir" --target serve_test wire_corrupt_test -j "$jobs"
+  echo "==> [serve-tsan] build $tsan_tests"
+  # shellcheck disable=SC2086 # word-split the target list on purpose
+  cmake --build "$tsan_dir" --target $tsan_tests -j "$jobs"
   echo "==> [serve-tsan] run"
-  "$tsan_dir/tests/serve_test"
-  "$tsan_dir/tests/wire_corrupt_test"
+  for t in $tsan_tests; do
+    "$tsan_dir/tests/$t"
+  done
   echo "==> [serve-tsan] clean"
 fi
 

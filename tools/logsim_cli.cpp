@@ -25,13 +25,11 @@
 //       simulator configured with the given (hidden) parameters.
 //
 // --params accepts "meiko", "cluster", "ideal" or "L=..,o=..,g=..,G=..,P=..".
-// --no-step-cache (or LOGSIM_STEP_CACHE=0 in the environment) disables the
-// comm-step memoization cache in predict / predict-ge; predictions are
-// bit-identical either way.
+// --no-step-cache disables the comm-step memoization cache in predict /
+// predict-ge; predictions are bit-identical either way.
 // --sim-threads N (or LOGSIM_SIM_THREADS=N) sizes the component-simulation
-// pool for mega-scale comm steps (0/1 = sequential); --no-decompose (or
-// LOGSIM_NO_DECOMPOSE=1) disables component decomposition entirely.
-// Either way predictions are bit-identical; the knobs trade wall-clock.
+// pool for mega-scale comm steps (0/1 = sequential); predictions are
+// bit-identical at any size, the knob trades wall-clock.
 // --trace-out FILE (or --trace-out=FILE, or LOGSIM_TRACE=FILE in the
 // environment) makes predict / predict-ge write a Chrome trace-event JSON
 // file: wall-clock tracks for the process plus one track per simulated
@@ -69,7 +67,7 @@ namespace {
 struct Flags {
   std::string params_text = "meiko";
   bool worst = false;
-  bool step_cache = runtime::step_cache_env_enabled();
+  bool step_cache = true;
   std::uint64_t seed = 1;
   std::string csv;
   std::string trace_out;  // empty = tracing off
@@ -96,8 +94,6 @@ Flags parse_flags(int argc, char** argv, int first) {
       flags.worst = true;
     } else if (arg == "--no-step-cache") {
       flags.step_cache = false;
-    } else if (arg == "--no-decompose") {
-      runtime::set_sim_decompose(false);
     } else if (arg == "--sim-threads" && i + 1 < argc) {
       runtime::set_sim_thread_count(
           static_cast<std::size_t>(std::atoll(argv[++i])));
@@ -258,11 +254,9 @@ int cmd_predict_ge(const Flags& flags) {
   const auto costs = ops::analytic_cost_table();
   // The predictor runs the program under both schedules; the comm-step
   // cache dedups the shared structure between them within this one call.
-  runtime::SharedStepCache step_cache{
-      runtime::SharedStepCache::config_from_env()};
+  runtime::SharedStepCache step_cache;
   core::ProgramSimOptions opts;
   if (flags.step_cache) opts.step_cache = &step_cache;
-  opts.decompose = runtime::sim_decompose_enabled();
   opts.comm_parallel = runtime::sim_parallel_for();
   obs::SimTraceRecorder recorder;
   TraceScope trace{flags.trace_out, &recorder};
@@ -372,14 +366,12 @@ int cmd_predict(const Flags& flags) {
     net = network::NetworkModel::create(std::move(spec).value());
   }
 
-  runtime::SharedStepCache step_cache{
-      runtime::SharedStepCache::config_from_env()};
+  runtime::SharedStepCache step_cache;
   core::ProgramSimOptions opts;
   opts.worst_case = flags.worst;
   opts.seed = flags.seed;
   if (net != nullptr) opts.net = net.get();
   if (flags.step_cache) opts.step_cache = &step_cache;
-  opts.decompose = runtime::sim_decompose_enabled();
   opts.comm_parallel = runtime::sim_parallel_for();
   obs::SimTraceRecorder recorder;
   TraceScope trace{flags.trace_out, &recorder};
